@@ -403,8 +403,11 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         outdir = Path(args.out or cfg.get("out", "out"))
         outdir.mkdir(parents=True, exist_ok=True)
+        # an earlier run's manifest would vouch for this run's debris
+        (outdir / "manifest.json").unlink(missing_ok=True)
         summary = _COMMANDS[args.command](cfg, raw, seed, outdir, args)
-    except (ConfigError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, KeyError, FileNotFoundError,
+            forward.StabilityError, hiergeo.AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

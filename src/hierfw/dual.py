@@ -302,6 +302,17 @@ def exact_dual_moment(params: ModelParams, z: SystemState, cfg0: DualConfig,
     return float(p @ H)
 
 
+def _next_states(cum_rows: np.ndarray, u: np.ndarray,
+                 last: np.ndarray) -> np.ndarray:
+    """Next state per row, by inverse CDF of cumulative jump probabilities.
+
+    ``last`` holds each row's last positive-probability column; the pick is
+    clamped to it, so a row whose cumulative sum rounds below ``u`` cannot
+    select a column past the end.
+    """
+    return np.minimum((cum_rows < u[:, None]).sum(axis=1), last)
+
+
 def _sample_dual_H(params: ModelParams, z: SystemState, cfg0: DualConfig,
                    t: float, n_replicas: int, seed: int,
                    d: Optional[float] = None) -> tuple:
@@ -319,6 +330,7 @@ def _sample_dual_H(params: ModelParams, z: SystemState, cfg0: DualConfig,
     with np.errstate(invalid="ignore", divide="ignore"):
         P = np.where(out_rate[:, None] > 0, P / out_rate[:, None], 0.0)
     cumP = np.cumsum(P, axis=1)
+    last = P.shape[1] - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
     H = np.array([duality_function(z, s) for s in states])
     total = 0.0
     total_sq = 0.0
@@ -337,8 +349,8 @@ def _sample_dual_H(params: ModelParams, z: SystemState, cfg0: DualConfig,
             t_next = t_now + np.where(movable, dt_draw / np.maximum(rates, 1e-300),
                                       np.inf)
             jump = movable & (t_next < t)
-            rows = cumP[s_idx[jump]]
-            s_idx[jump] = (rows < u[jump, None]).sum(axis=1)
+            src = s_idx[jump]
+            s_idx[jump] = _next_states(cumP[src], u[jump], last[src])
             t_now[jump] = t_next[jump]
             alive = jump
         vals = H[s_idx[:width]]

@@ -15,8 +15,19 @@ counted and a run whose clip frequency exceeds 1% is flagged.
 
 Colonies are indexed little-endian by their digit strings, so the level-l
 blocks are contiguous slices of length N^l and block averages are reshaped
-means.  Replicas are vectorised in fixed-width chunks; replica r always draws
-from the stream keyed by (seed, labels, r // CHUNK) at column r % CHUNK.
+means.  The migration drift is computed coarse to fine: level-l means are
+built from level-(l-1) means, and the drift, rewritten as
+sum_l R_l (m_l - m_{l-1}) with tail rates R_l = sum_{k>=l} c_{k-1}/N^{k-1},
+is accumulated from the top level down at each level's own resolution, so
+only the level-1 means read the colony array.  A step then visits the
+colonies in cache-sized column tiles, updating one dormant colour row at a
+time, so no (M, C) temporary is allocated.
+
+Replicas are vectorised in fixed-width chunks; replica r always draws from
+the stream keyed by (seed, labels, r // CHUNK) at column r % CHUNK.
+``ensemble_reduce`` advances groups of chunks as one stacked array, each
+chunk's normals drawn from its own stream into its own rows, so grouping
+changes no replica's numbers.
 """
 
 from __future__ import annotations
@@ -42,6 +53,13 @@ class SizeError(ValueError):
 
 ROLE_ACTIVE = 0  # role index of the active population; colour m is role m+1
 
+# A step visits colonies in column tiles of about this many state entries per
+# array, so that a tile's x, y_m and increments stay in cache for the step.
+_TILE = 1 << 15
+# ensemble_reduce stacks as many replica chunks as keep a group's (x, y)
+# state within this many bytes (always at least one chunk).
+_GROUP_BYTES = 256 * 1024
+
 
 # ----------------------------------------------------------------------
 # State containers
@@ -59,10 +77,6 @@ class SystemState:
     def copy(self) -> "SystemState":
         return SystemState(self.x.copy(), self.y.copy(), self.time)
 
-    def colony(self, index: int):
-        """(x, y_vector) of one colony."""
-        return float(self.x[index]), self.y[:, index].copy()
-
 
 def initial_arrays(params: ModelParams, init: InitSpec, rng,
                    width: int = 1) -> tuple:
@@ -72,7 +86,8 @@ def initial_arrays(params: ModelParams, init: InitSpec, rng,
     th_y = init.theta_y_full(M)
     if init.law == "deterministic":
         x = np.full((width, C), init.theta_x)
-        y = np.tile(th_y[None, :, None], (width, 1, C)).astype(float)
+        y = np.empty((width, M, C))
+        y[:] = th_y[:, None]
     elif init.law == "beta":
         conc = init.concentration
         x = rng.beta(max(init.theta_x * conc, 1e-12),
@@ -128,6 +143,8 @@ class _StepContext:
             self.exch_f = 1.0 - np.exp(-self.exch_rates * dt)
         else:
             self.exch_f = self.exch_rates * dt
+        # R_l dt with R_l = sum_{k>=l} level_rates[k-1]; see _drift_levels
+        self.drift_tails = np.cumsum(self.level_rates[::-1])[::-1] * dt
         self.g = params.g
 
 
@@ -139,37 +156,85 @@ def default_dt(params: ModelParams, target: float = 0.1) -> float:
     return target / total
 
 
-def _block_means(x: np.ndarray, N: int, level: int) -> np.ndarray:
-    """Level-l block means broadcast back to colony resolution.
+def _run_means(a: np.ndarray, N: int) -> np.ndarray:
+    """Means of consecutive runs of N entries along the rows of a (W, n) array.
 
-    x has shape (..., C); level-l blocks are contiguous runs of N^l colonies.
+    Summed one column of the runs at a time, which is as fast as a reduction
+    for large arrays and far faster when the runs are short and many.
     """
-    C = x.shape[-1]
-    width = N ** level
-    lead = x.shape[:-1]
-    xr = x.reshape(lead + (C // width, width))
-    means = xr.mean(axis=-1, keepdims=True)
-    return np.broadcast_to(means, xr.shape).reshape(lead + (C,))
+    runs = a.reshape(a.shape[0], -1, N)
+    total = runs[:, :, 0].copy()
+    for k in range(1, N):
+        total += runs[:, :, k]
+    total /= N
+    return total
+
+
+def _drift_levels(x: np.ndarray, N: int, tails: np.ndarray) -> tuple:
+    """Level-1 means of x and the coarse part of the migration drift.
+
+    x has shape (W, C).  With m_0 = x, m_l the level-l block means and
+    ``tails[l-1]`` = R_l, the drift sum_l r_l (m_l - x) telescopes to
+    sum_l R_l (m_l - m_{l-1}).  Each m_l is the mean of N level-(l-1) means,
+    and the terms l >= 2 are summed from the top level down at the
+    resolution of level l-1.  Returns m_1 and that sum, both (W, C / N); the
+    drift at colony resolution is R_1 (m_1 - x) plus the sum, each
+    broadcast over its level-1 block.
+    """
+    W = x.shape[0]
+    means = [_run_means(x, N)]
+    for _ in tails[1:]:
+        means.append(_run_means(means[-1], N))
+    coarse = np.zeros((W, 1))
+    for R, mean, finer in zip(tails[:0:-1], means[:0:-1], means[-2::-1]):
+        term = (mean[:, :, None] - finer.reshape(W, -1, N)) * R
+        term += coarse[:, :, None]
+        coarse = term.reshape(W, -1)
+    return means[0], coarse
 
 
 def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
-             rng) -> int:
-    """Advance (x, y) in place by n_steps; returns the number of clip events."""
-    dt, N = ctx.dt, ctx.N
+             *rngs) -> int:
+    """Advance (x, y) in place by n_steps; returns the number of clip events.
+
+    x has shape (W, C) and y (W, M, C).  The rows are split evenly among
+    ``rngs``: generator i draws the normals of the i-th share of rows, in
+    row-major order, at every step.
+    """
+    W, C = x.shape
+    N, dt, R1 = ctx.N, ctx.dt, ctx.drift_tails[0]
+    rows = W // len(rngs)
+    span = max(N, _TILE // W // N * N)     # whole level-1 blocks per tile
+    normals = np.empty_like(x)
     clips = 0
     for _ in range(n_steps):
-        drift = np.zeros_like(x)
-        for l, rate in enumerate(ctx.level_rates, start=1):
-            drift += rate * (_block_means(x, N, l) - x)
-        dy = (x[:, None, :] - y) * ctx.exch_f[None, :, None]
-        exch_x = -np.sum(ctx.K[None, :, None] * dy, axis=1)
-        noise = np.sqrt(np.maximum(ctx.g(x), 0.0) * dt) * rng.standard_normal(x.shape)
-        x += drift * dt + exch_x + noise
-        y += dy
-        lo, hi = x < 0.0, x > 1.0
-        clips += int(np.count_nonzero(lo) + np.count_nonzero(hi))
-        np.clip(x, 0.0, 1.0, out=x)
-        np.clip(y, 0.0, 1.0, out=y)
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=normals[i * rows:(i + 1) * rows])
+        m1, coarse = _drift_levels(x, N, ctx.drift_tails)
+        for lo in range(0, C, span):
+            xt = x[:, lo:lo + span]
+            blocks = slice(lo // N, (lo + span) // N)
+            inc = m1[:, blocks, None] - xt.reshape(W, -1, N)
+            inc *= R1
+            inc += coarse[:, blocks, None]
+            inc = inc.reshape(W, -1)
+            dy = ctx.g(xt)
+            np.maximum(dy, 0.0, out=dy)
+            dy *= dt
+            np.sqrt(dy, out=dy)
+            dy *= normals[:, lo:lo + span]
+            inc += dy
+            for m, (f, K) in enumerate(zip(ctx.exch_f, ctx.K)):
+                ym = y[:, m, lo:lo + span]
+                np.subtract(xt, ym, out=dy)
+                dy *= f
+                ym += dy
+                np.clip(ym, 0.0, 1.0, out=ym)
+                dy *= K
+                inc -= dy
+            xt += inc
+            clips += int(np.count_nonzero(xt < 0.0) + np.count_nonzero(xt > 1.0))
+            np.clip(xt, 0.0, 1.0, out=xt)
     return clips
 
 
@@ -274,7 +339,8 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
              plan: RecordPlan, seed: int, replica: int = 0,
              dt: Optional[float] = None, mode: str = "exp") -> TrajectoryRecord:
     """Single-replica trajectory, deterministic given (seed, replica)."""
-    dt = dt or default_dt(params)
+    if dt is None:
+        dt = default_dt(params)
     ctx = _StepContext(params, dt, mode)
     rng = rngmod.stream(seed, "forward", replica)
     x, y = initial_arrays(params, init, rng, width=1)
@@ -286,38 +352,33 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
         raise ValueError("record times must lie in [0, horizon]")
     if sorted(steps_at) != steps_at:
         raise ValueError("record times must be non-decreasing")
-    T, L, M = len(steps_at), len(levels), params.levels + 1
-    rec = TrajectoryRecord(
-        times=np.asarray(steps_at, dtype=float) * dt,
-        levels=levels,
-        block_x=np.empty((T, L)), block_y=np.empty((T, L, M)),
-        theta_bar=np.empty((T, L)), theta_x=np.empty((T, L)),
-        theta_y=np.empty((T, L, M)),
-        grand_mean=np.empty(T), clip_fraction=0.0, flagged=False,
-        snapshots_x=np.empty((T, params.n_colonies)) if plan.snapshots else None,
-        snapshots_y=np.empty((T, M, params.n_colonies)) if plan.snapshots else None,
-    )
+    T, L, M, C = len(steps_at), len(levels), params.levels + 1, params.n_colonies
+    top = params.levels + 1
+    needed = {int(l) for l in levels} | {top}
+    theta_bar, theta_x = np.empty((T, L)), np.empty((T, L))
+    theta_y, grand_mean = np.empty((T, L, M)), np.empty(T)
+    snapshots_x = np.empty((T, C)) if plan.snapshots else None
+    snapshots_y = np.empty((T, M, C)) if plan.snapshots else None
     clips = 0
     done = 0
     for i, target in enumerate(steps_at):
         clips += _advance(x, y, target - done, ctx, rng)
         done = target
+        est = {l: estimator_arrays(x[0], y[0], K, l, params.N) for l in needed}
         for j, l in enumerate(levels):
-            th_bar, th_x, th_y = estimator_arrays(x[0], y[0], K, int(l), params.N)
-            rec.theta_bar[i, j], rec.theta_x[i, j] = th_bar, th_x
-            rec.theta_y[i, j] = th_y
-            width = params.N ** int(l)
-            rec.block_x[i, j] = x[0, :width].mean()
-            rec.block_y[i, j] = y[0, :, :width].mean(axis=1)
-        full, _, _ = estimator_arrays(x[0], y[0], K, params.levels + 1, params.N)
-        rec.grand_mean[i] = full
+            theta_bar[i, j], theta_x[i, j], theta_y[i, j] = est[int(l)]
+        grand_mean[i] = est[top][0]
         if plan.snapshots:
-            rec.snapshots_x[i] = x[0]
-            rec.snapshots_y[i] = y[0]
-    total_colony_steps = max(done, 1) * params.n_colonies
-    rec.clip_fraction = clips / total_colony_steps
-    rec.flagged = rec.clip_fraction > 0.01
-    return rec
+            snapshots_x[i] = x[0]
+            snapshots_y[i] = y[0]
+    clip_fraction = clips / (max(done, 1) * C)
+    # the block averages are the component means of the estimators
+    return TrajectoryRecord(
+        times=np.asarray(steps_at, dtype=float) * dt, levels=levels,
+        block_x=theta_x, block_y=theta_y, theta_bar=theta_bar,
+        theta_x=theta_x, theta_y=theta_y, grand_mean=grand_mean,
+        clip_fraction=clip_fraction, flagged=clip_fraction > 0.01,
+        snapshots_x=snapshots_x, snapshots_y=snapshots_y)
 
 
 # ----------------------------------------------------------------------
@@ -336,33 +397,47 @@ def ensemble_reduce(params: ModelParams, init, times: Sequence[float],
     SystemState (every replica starts from that exact configuration).
     Returns (means, ses, clip_fraction) with means and ses shaped (T, Q).
     """
-    dt = dt or default_dt(params)
+    if dt is None:
+        dt = default_dt(params)
+    if n_replicas < 1:
+        raise ValueError("n_replicas must be at least 1")
     ctx = _StepContext(params, dt, mode)
     steps_at = [int(round(t / dt)) for t in times]
+    C, M, CHUNK = params.n_colonies, params.levels + 1, rngmod.CHUNK
+    per_group = max(1, _GROUP_BYTES // (CHUNK * C * (M + 1) * 8))
+    chunks = list(rngmod.replica_chunks(n_replicas))
     sums = sumsq = None
     clips = 0
     total_steps = 0
-    for chunk, width in rngmod.replica_chunks(n_replicas):
-        rng = rngmod.stream(seed, label, chunk)
+    for first in range(0, len(chunks), per_group):
+        group = chunks[first:first + per_group]
+        rngs = [rngmod.stream(seed, label, chunk) for chunk, _ in group]
+        rows = len(group) * CHUNK
         if isinstance(init, SystemState):
-            x = np.tile(init.x[None, :], (rngmod.CHUNK, 1))
-            y = np.tile(init.y[None, :, :], (rngmod.CHUNK, 1, 1))
+            x = np.tile(init.x[None, :], (rows, 1))
+            y = np.tile(init.y[None, :, :], (rows, 1, 1))
         else:
-            x, y = initial_arrays(params, init, rng, width=rngmod.CHUNK)
+            x, y = np.empty((rows, C)), np.empty((rows, M, C))
+            for i, rng in enumerate(rngs):
+                part = slice(i * CHUNK, (i + 1) * CHUNK)
+                x[part], y[part] = initial_arrays(params, init, rng, width=CHUNK)
         done = 0
         vals = []
         for target in steps_at:
-            clips += _advance(x, y, target - done, ctx, rng)
+            clips += _advance(x, y, target - done, ctx, *rngs)
             done = target
-            vals.append(np.asarray(reducer(x[:width], y[:width])))
-        total_steps += done * rngmod.CHUNK * params.n_colonies
-        block = np.stack(vals)                      # (T, width, Q)
-        if sums is None:
-            sums = block.sum(axis=1)
-            sumsq = (block ** 2).sum(axis=1)
-        else:
-            sums += block.sum(axis=1)
-            sumsq += (block ** 2).sum(axis=1)
+            vals.append(np.asarray(reducer(x, y)))
+        total_steps += done * rows * C
+        block = np.stack(vals)                      # (T, rows, Q)
+        # summed chunk by chunk, leaving out a partial chunk's padding rows
+        for i, (_, width) in enumerate(group):
+            part = block[:, i * CHUNK:i * CHUNK + width]
+            if sums is None:
+                sums = part.sum(axis=1)
+                sumsq = (part ** 2).sum(axis=1)
+            else:
+                sums += part.sum(axis=1)
+                sumsq += (part ** 2).sum(axis=1)
     mean = sums / n_replicas
     var = np.maximum(sumsq / n_replicas - mean ** 2, 0.0)
     se = np.sqrt(var / n_replicas)

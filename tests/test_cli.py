@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hierfw import cli
+from hierfw import cli, hiergeo
 
 
 CLUSTERING_CFG = """\
@@ -211,3 +211,37 @@ def test_midrun_failure_leaves_no_manifest(tmp_path):
     out = tmp_path / "o"
     assert run(["duality-check", "--config", cfg, "--out", out, "--quiet"]) == 1
     assert not (out / "manifest.json").exists()
+    # a failed rerun into an earlier run's directory drops its manifest
+    good = write_cfg(tmp_path, TWO_COLONY_CFG, name="good.yaml")
+    assert run(["simulate-dual", "--config", good, "--out", out, "--quiet"]) == 0
+    assert (out / "manifest.json").exists()
+    assert run(["duality-check", "--config", cfg, "--out", out, "--quiet"]) == 1
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    ("simulate-forward", ("dt: 0.005", "dt: 0"), "dt must be positive"),
+    ("duality-check", ("dt: 0.005", "dt: 0"), "dt must be positive"),
+    ("duality-check", ("replicas: 4000", "replicas: 0"), "n_replicas"),
+    ("simulate-forward", ("dt: 0.005", "dt: 0.9"), "dt * total rate"),
+])
+def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
+    cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_accuracy_error_exits_one(tmp_path, capsys, monkeypatch):
+    def too_short(cfg, raw, seed, outdir, args):
+        raise hiergeo.AccuracyError("truncation too small for requested horizon")
+
+    monkeypatch.setitem(cli._COMMANDS, "profile", too_short)
+    cfg = write_cfg(tmp_path, CLUSTERING_CFG)
+    assert run(["profile", "--config", cfg, "--out", tmp_path / "o",
+                "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: truncation too small for requested horizon\n"

@@ -195,6 +195,22 @@ def test_duality_two_colony_full():
     assert abs(rep.rhs - rep.exact_rhs) < 4 * rep.rhs_se
 
 
+def test_next_state_pick_clamped_to_last_positive_column():
+    # column 2 has zero probability; u is the largest double rng.random() gives
+    u = np.array([np.nextafter(1.0, 0.0)] * 3)
+    cum = np.array([
+        [0.5, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53],   # sums to 1 - 2^-53
+        [0.5, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -52],   # rounds further below u
+        [0.5, 1.0, 1.0],
+    ])
+    last = np.array([1, 1, 1])
+    assert (cum[1] < u[1]).sum() == 3          # unclamped: past the last state
+    assert D._next_states(cum, u, last).tolist() == [1, 1, 1]
+    # where no clamp is needed the pick is the plain inverse CDF
+    u = np.array([0.25, 0.5, 0.75])
+    assert D._next_states(cum, u, last).tolist() == [0, 0, 1]
+
+
 def test_dual_generator_rows_sum_zero():
     mp = two_colony()
     states = D.enumerate_count_states(mp, 2)
