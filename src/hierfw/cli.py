@@ -1,12 +1,14 @@
 """Batch experiment runner.
 
 Subcommands: classify, simulate-forward, simulate-dual, duality-check,
-renorm-orbit, interaction-chain, profile.  Each reads a YAML config, writes
-CSV outputs plus one JSON summary into the output directory, and finishes by
-writing a manifest with the config hash, seed, package version and a checksum
-per output file.  The manifest is written last: a directory without one holds
-the debris of a failed run.  Identical (config, seed) pairs reproduce every
-output byte for byte.
+renorm-orbit, interaction-chain, profile.  ``main`` reads the YAML config
+and converts and checks it once (model, typed run block, dual lineages); a
+malformed config exits 1 with a one-line error.  Each subcommand writes CSV
+outputs plus one JSON summary into the output directory and returns the
+paths it wrote.  ``main`` alone then writes the manifest, after every output
+file, with the config hash, seed, package version and a checksum per output
+file: a directory without one holds the debris of a failed run.  Identical
+(config, seed) pairs reproduce every output byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ import yaml
 
 from . import __version__, dual, forward, hiergeo, params, renorm
 from .diffusion import DiffusionFn, GridFunction, fisher_wright
+from .rng import stream
 
 
 class ConfigError(ValueError):
@@ -34,10 +38,38 @@ class ConfigError(ValueError):
 
 _MODEL_KEYS = {"N", "levels", "family", "c", "e", "K", "g", "d"}
 _INIT_KEYS = {"theta_x", "theta_y", "law", "concentration", "theta_limit"}
-_RUN_KEYS = {"dt", "horizon", "times", "replicas", "burn", "sample",
-             "grid_size", "depth", "snapshots", "dt_factor", "t"}
 _DUAL_KEYS = {"actives", "dormants"}
 _TOP_KEYS = {"model", "init", "run", "dual", "seed", "out"}
+
+
+def _floats(values) -> list:
+    if not isinstance(values, list):
+        raise TypeError("expected a list")
+    return [float(v) for v in values]
+
+
+# the type each run value is read as; a null value reads as absent
+_RUN_TYPES = {"dt": float, "horizon": float, "t": float, "burn": float,
+              "sample": float, "dt_factor": float, "times": _floats,
+              "replicas": int, "grid_size": int, "depth": int,
+              "snapshots": bool}
+
+
+def _mapping(value, where: str) -> dict:
+    """A config block; null reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    return value
+
+
+def _read(convert, value, where: str):
+    """convert(value); a value it cannot read raises ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read {where} = {value!r}") from exc
 
 
 def _check_keys(block: dict, allowed: set, where: str):
@@ -47,24 +79,29 @@ def _check_keys(block: dict, allowed: set, where: str):
 
 
 def load_config(path) -> tuple:
-    """Parse and validate a YAML experiment config; returns (dict, raw bytes)."""
+    """Parse and validate a YAML experiment config; returns (dict, raw bytes).
+
+    The model, init, run and dual blocks of the returned dict are mappings.
+    """
     raw = Path(path).read_bytes()
-    cfg = yaml.safe_load(raw)
+    try:
+        cfg = yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
     _check_keys(cfg, _TOP_KEYS, "config")
     if "model" not in cfg:
         raise ConfigError("config needs a model block")
-    _check_keys(cfg["model"], _MODEL_KEYS, "model")
-    _check_keys(cfg.get("init", {}), _INIT_KEYS, "init")
-    _check_keys(cfg.get("run", {}), _RUN_KEYS, "run")
-    _check_keys(cfg.get("dual", {}), _DUAL_KEYS, "dual")
+    for key, allowed in (("model", _MODEL_KEYS), ("init", _INIT_KEYS),
+                         ("run", set(_RUN_TYPES)), ("dual", _DUAL_KEYS)):
+        cfg[key] = _mapping(cfg.get(key), key)
+        _check_keys(cfg[key], allowed, key)
     return cfg, raw
 
 
 def _build_g(spec) -> DiffusionFn:
-    if spec is None:
-        return fisher_wright(1.0)
+    spec = _mapping(spec, "model.g")
     kind = spec.get("kind", "fisher_wright")
     if kind == "fisher_wright":
         return fisher_wright(float(spec.get("d", 1.0)))
@@ -76,6 +113,7 @@ def _build_g(spec) -> DiffusionFn:
 
 
 def _build_family(spec):
+    spec = _mapping(spec, "model.family")
     kind = spec.get("kind")
     if kind == "exponential":
         return params.ExponentialFamily(K=float(spec["K"]), e=float(spec["e"]),
@@ -89,25 +127,28 @@ def _build_family(spec):
 
 
 def build_model(cfg: dict) -> params.ModelParams:
-    m = cfg["model"]
-    init_cfg = cfg.get("init")
-    init = None
-    if init_cfg:
-        theta_y = init_cfg.get("theta_y", [init_cfg["theta_x"]])
-        if not isinstance(theta_y, (list, tuple)):
-            theta_y = [theta_y]
-        init = params.InitSpec(
-            theta_x=float(init_cfg["theta_x"]),
-            theta_y=tuple(float(t) for t in theta_y),
-            law=init_cfg.get("law", "deterministic"),
-            concentration=float(init_cfg.get("concentration", 2.0)),
-            theta_limit=init_cfg.get("theta_limit"),
-        )
-    g = _build_g(m.get("g"))
-    d = m.get("d")
-    common = dict(N=int(m["N"]), levels=int(m["levels"]), g=g,
-                  d=None if d is None else float(d), init=init)
+    """ModelParams from the model and init blocks.
+
+    A missing, unreadable or invalid value raises ConfigError.
+    """
+    m, init_cfg = cfg["model"], cfg.get("init")
     try:
+        init = None
+        if init_cfg:
+            theta_y = init_cfg.get("theta_y", [init_cfg["theta_x"]])
+            if not isinstance(theta_y, (list, tuple)):
+                theta_y = [theta_y]
+            init = params.InitSpec(
+                theta_x=float(init_cfg["theta_x"]),
+                theta_y=tuple(float(t) for t in theta_y),
+                law=init_cfg.get("law", "deterministic"),
+                concentration=float(init_cfg.get("concentration", 2.0)),
+                theta_limit=init_cfg.get("theta_limit"),
+            )
+        d = m.get("d")
+        common = dict(N=int(m["N"]), levels=int(m["levels"]),
+                      g=_build_g(m.get("g")),
+                      d=None if d is None else float(d), init=init)
         if "family" in m:
             fam = _build_family(m["family"])
             return params.ModelParams.from_family(family=fam, **common)
@@ -115,8 +156,42 @@ def build_model(cfg: dict) -> params.ModelParams:
             c=tuple(float(v) for v in m["c"]),
             e=tuple(float(v) for v in m["e"]),
             K=tuple(float(v) for v in m["K"]), **common)
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"missing config key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model block: {exc}") from exc
+
+
+def _lineages(block: dict, mp: params.ModelParams) -> dict:
+    """Dual-block lineage counts keyed by (row, colony): row 0 holds the
+    active lineages, row m+1 the m-dormant ones (keys "m:colony")."""
+    actives = _mapping(block.get("actives"), "dual.actives")
+    dormants = _mapping(block.get("dormants"), "dual.dormants")
+    try:
+        counts = {(0, int(site)): int(n) for site, n in actives.items()}
+        for key, n in dormants.items():
+            colour, site = (int(v) for v in str(key).split(":"))
+            if not 0 <= colour <= mp.levels:
+                raise ValueError(f"colour {colour} outside 0..{mp.levels}")
+            counts[colour + 1, site] = int(n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid dual block: {exc}") from exc
+    for _, site in counts:
+        if not 0 <= site < mp.n_colonies:
+            raise ConfigError(f"invalid dual block: site {site} outside "
+                              f"0..{mp.n_colonies - 1}")
+    return counts
+
+
+@dataclass(frozen=True)
+class Job:
+    """One parsed invocation: what every subcommand reads."""
+
+    model: params.ModelParams
+    run: dict                  # run block, each value read as its type
+    lineages: dict             # see _lineages
+    seed: int
+    outdir: Path
 
 
 # ----------------------------------------------------------------------
@@ -130,16 +205,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: str, rows, comments=()):
+def _write_text(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+def write_csv(path: Path, header: str, rows, comments=()) -> Path:
     lines = [f"# {c}" for c in comments]
     lines.append(header)
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               default=_json_default) + "\n")
+def write_json(path: Path, payload: dict) -> Path:
+    return _write_text(path, json.dumps(payload, sort_keys=True, indent=2,
+                                        default=_json_default) + "\n")
 
 
 def _json_default(obj):
@@ -165,213 +245,158 @@ def write_manifest(outdir: Path, raw_config: bytes, seed: int, files):
 
 
 # ----------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes a Job and returns (summary, files written)
 # ----------------------------------------------------------------------
 
 
-def _run_block(cfg) -> dict:
-    return cfg.get("run", {})
-
-
-def cmd_classify(cfg, raw, seed, outdir, args) -> dict:
-    mp = build_model(cfg)
+def cmd_classify(job: Job) -> tuple:
+    mp, out = job.model, job.outdir
     report = params.classify(mp)
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, mp.levels + 1)
-    files = []
-    write_json(outdir / "regime_report.json", report.as_dict())
-    files.append(outdir / "regime_report.json")
-    (outdir / "regime_report.txt").write_text(report.as_text())
-    files.append(outdir / "regime_report.txt")
     rows = params.coefficient_rows(coeffs, range(mp.levels + 2))
-    write_csv(outdir / "coefficients.csv", "n,A_n,predicted_asymptote", rows,
-              comments=[f"asymptotic_class = {coeffs.asymptotic.label}"])
-    files.append(outdir / "coefficients.csv")
     spec = mp.kernel_spec()
     expansion = hiergeo.build_expansion(spec)
-    write_csv(outdir / "kernel.csv", "level,c_k,r_k,h_k",
-              hiergeo.kernel_table_rows(spec, expansion))
-    files.append(outdir / "kernel.csv")
-    write_manifest(outdir, raw, seed, files)
-    return {"clustering": report.clustering, "gamma": report.gamma}
+    files = [
+        write_json(out / "regime_report.json", report.as_dict()),
+        _write_text(out / "regime_report.txt", report.as_text()),
+        write_csv(out / "coefficients.csv", "n,A_n,predicted_asymptote", rows,
+                  comments=[f"asymptotic_class = {coeffs.asymptotic.label}"]),
+        write_csv(out / "kernel.csv", "level,c_k,r_k,h_k",
+                  hiergeo.kernel_table_rows(spec, expansion)),
+    ]
+    return {"clustering": report.clustering, "gamma": report.gamma}, files
 
 
-def cmd_simulate_forward(cfg, raw, seed, outdir, args) -> dict:
-    mp = build_model(cfg)
+def cmd_simulate_forward(job: Job) -> tuple:
+    mp, run, out = job.model, job.run, job.outdir
     if mp.init is None:
         raise ConfigError("simulate-forward needs an init block")
-    run = _run_block(cfg)
-    horizon = float(run.get("horizon", 1.0))
-    times = run.get("times") or list(np.linspace(0.0, horizon, 11))
-    plan = forward.RecordPlan(times=[float(t) for t in times],
-                              snapshots=bool(run.get("snapshots", False)))
-    rec = forward.simulate(mp, mp.init, horizon, plan, seed=seed,
+    horizon = run.get("horizon", 1.0)
+    times = run.get("times") or np.linspace(0.0, horizon, 11).tolist()
+    plan = forward.RecordPlan(times=times,
+                              snapshots=run.get("snapshots", False))
+    rec = forward.simulate(mp, mp.init, horizon, plan, seed=job.seed,
                            dt=run.get("dt"))
-    files = []
-    write_csv(outdir / "trajectory.csv", "t,level,component,value",
-              rec.csv_rows())
-    files.append(outdir / "trajectory.csv")
+    files = [write_csv(out / "trajectory.csv", "t,level,component,value",
+                       rec.csv_rows())]
     if plan.snapshots:
-        M = mp.levels + 1
-        header = "t,address,x," + ",".join(f"y{m}" for m in range(M))
-        write_csv(outdir / "snapshots.csv", header, rec.snapshot_rows(mp.N))
-        files.append(outdir / "snapshots.csv")
+        header = "t,address,x," + ",".join(f"y{m}" for m in range(mp.levels + 1))
+        files.append(write_csv(out / "snapshots.csv", header,
+                               rec.snapshot_rows(mp.N)))
     summary = {
         "horizon": horizon, "clip_fraction": rec.clip_fraction,
         "flagged": rec.flagged,
         "grand_mean_first": float(rec.grand_mean[0]),
         "grand_mean_last": float(rec.grand_mean[-1]),
     }
-    write_json(outdir / "summary.json", summary)
-    files.append(outdir / "summary.json")
-    write_manifest(outdir, raw, seed, files)
-    return summary
+    return summary, files + [write_json(out / "summary.json", summary)]
 
 
-def _dual_config(cfg, mp) -> dual.DualConfig:
-    block = cfg.get("dual", {})
-    counts = np.zeros((mp.levels + 2, mp.n_colonies), dtype=int)
-    for site, n in (block.get("actives") or {}).items():
-        counts[0, int(site)] = int(n)
-    for key, n in (block.get("dormants") or {}).items():
-        colour, site = (int(v) for v in str(key).split(":"))
-        counts[colour + 1, site] = int(n)
+def _dual_config(job: Job) -> dual.DualConfig:
+    counts = np.zeros((job.model.levels + 2, job.model.n_colonies), dtype=int)
+    for place, n in job.lineages.items():
+        counts[place] = n
     if counts.sum() == 0:
         counts[0, 0] = 2
     return dual.DualConfig(counts)
 
 
-def cmd_simulate_dual(cfg, raw, seed, outdir, args) -> dict:
-    mp = build_model(cfg)
-    run = _run_block(cfg)
-    horizon = float(run.get("horizon", 1.0))
-    cfg0 = _dual_config(cfg, mp)
-    from .rng import stream
-    log, terminal = dual.simulate_dual(cfg0, mp, horizon, stream(seed, "dual-cli"))
-    files = []
-    write_csv(outdir / "events.csv", "t,event,site,colour", log)
-    files.append(outdir / "events.csv")
+def cmd_simulate_dual(job: Job) -> tuple:
+    horizon = job.run.get("horizon", 1.0)
+    cfg0 = _dual_config(job)
+    log, terminal = dual.simulate_dual(cfg0, job.model, horizon,
+                                       stream(job.seed, "dual-cli"))
     summary = {
         "horizon": horizon, "initial_total": cfg0.total,
         "terminal_total": terminal.total, "n_events": len(log),
         "terminal_counts": terminal.counts.tolist(),
     }
-    write_json(outdir / "summary.json", summary)
-    files.append(outdir / "summary.json")
-    write_manifest(outdir, raw, seed, files)
-    return summary
+    return summary, [
+        write_csv(job.outdir / "events.csv", "t,event,site,colour", log),
+        write_json(job.outdir / "summary.json", summary)]
 
 
-def cmd_duality_check(cfg, raw, seed, outdir, args) -> dict:
-    mp = build_model(cfg)
+def cmd_duality_check(job: Job) -> tuple:
+    mp, run = job.model, job.run
     if mp.init is None:
         raise ConfigError("duality-check needs an init block")
-    run = _run_block(cfg)
-    t = float(run.get("t", 1.0))
-    n_replicas = int(args.replicas or run.get("replicas", 10_000))
-    cfg0 = _dual_config(cfg, mp)
-    from .rng import stream
-    z = forward.initial_state(mp, mp.init, stream(seed, "duality-z"))
-    report = dual.duality_estimate(mp, z, cfg0, t, n_replicas, seed,
+    z = forward.initial_state(mp, mp.init, stream(job.seed, "duality-z"))
+    report = dual.duality_estimate(mp, z, _dual_config(job), run.get("t", 1.0),
+                                   run.get("replicas", 10_000), job.seed,
                                    dt=run.get("dt"))
-    files = []
-    write_json(outdir / "duality.json", report.as_dict())
-    files.append(outdir / "duality.json")
-    (outdir / "duality.txt").write_text(report.as_text())
-    files.append(outdir / "duality.txt")
-    write_manifest(outdir, raw, seed, files)
-    return report.as_dict()
+    return report.as_dict(), [
+        write_json(job.outdir / "duality.json", report.as_dict()),
+        _write_text(job.outdir / "duality.txt", report.as_text())]
 
 
-def _budget(run, args) -> renorm.EquilibriumBudget:
+def _budget(run: dict) -> renorm.EquilibriumBudget:
     return renorm.EquilibriumBudget(
-        n_replicas=int(args.replicas or run.get("replicas", 96)),
-        burn=float(run.get("burn", 20.0)),
-        sample=float(run.get("sample", 80.0)),
-        dt_factor=float(run.get("dt_factor", 0.01)),
-    )
+        n_replicas=run.get("replicas", 96), burn=run.get("burn", 20.0),
+        sample=run.get("sample", 80.0), dt_factor=run.get("dt_factor", 0.01))
 
 
-def cmd_renorm_orbit(cfg, raw, seed, outdir, args) -> dict:
-    mp = build_model(cfg)
-    run = _run_block(cfg)
-    depth = int(run.get("depth", 5))
+def cmd_renorm_orbit(job: Job) -> tuple:
+    mp, run, out = job.model, job.run, job.outdir
+    depth = run.get("depth", 5)
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, min(mp.levels + 1, depth + 1))
-    grid_size = int(run.get("grid_size", 21))
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, run.get("grid_size", 21))
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth,
-                                    _budget(run, args), seed, theta_grid=grid)
-    files = []
-    write_csv(outdir / "orbit.csv", "level,A_n,sup_distance", orbit.csv_rows())
-    files.append(outdir / "orbit.csv")
+                                    _budget(run), job.seed, theta_grid=grid)
+    files = [write_csv(out / "orbit.csv", "level,A_n,sup_distance",
+                       orbit.csv_rows())]
     for i, level in enumerate(orbit.levels):
-        fn = outdir / f"fgrid_level{int(level)}.csv"
         rows = list(zip(orbit.theta_grid, orbit.grids[i].grid.values))
-        write_csv(fn, "theta,value", rows,
-                  comments=[f"level = {int(level)}",
-                            f"A_n = {_fmt(orbit.A[i])}"])
-        files.append(fn)
+        files.append(write_csv(out / f"fgrid_level{int(level)}.csv",
+                               "theta,value", rows,
+                               comments=[f"level = {int(level)}",
+                                         f"A_n = {_fmt(orbit.A[i])}"]))
     summary = {"depth": depth, "flagged": orbit.flagged,
                "sup_distance": orbit.sup_distance.tolist(),
                "A": orbit.A.tolist()}
-    write_json(outdir / "summary.json", summary)
-    files.append(outdir / "summary.json")
-    write_manifest(outdir, raw, seed, files)
-    return summary
+    return summary, files + [write_json(out / "summary.json", summary)]
 
 
-def cmd_interaction_chain(cfg, raw, seed, outdir, args) -> dict:
-    mp = build_model(cfg)
+def cmd_interaction_chain(job: Job) -> tuple:
+    mp, run = job.model, job.run
     if mp.init is None:
         raise ConfigError("interaction-chain needs an init block")
-    run = _run_block(cfg)
-    depth = int(run.get("depth", 4))
-    n_replicas = int(args.replicas or run.get("replicas", 10_000))
+    depth = run.get("depth", 4)
+    n_replicas = run.get("replicas", 10_000)
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, depth + 2)
-    budget = _budget(run, args)
+    budget = _budget(run)
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth + 1,
-                                    budget, seed)
+                                    budget, job.seed)
     g_orbit = [mp.g] + orbit.grids
     chain = renorm.sample_interaction_chain(depth, mp, derived, g_orbit,
-                                            n_replicas, budget, seed)
+                                            n_replicas, budget, job.seed)
     means, variances = renorm.chain_moment_predictions(depth, derived, coeffs,
                                                        g_orbit[depth + 1])
-    rows = []
-    for l in range(depth + 1):
-        rows.append((l, float(chain.x[l].mean()), float(chain.x[l].var(ddof=1)),
-                     float(means[l]), float(variances[l]),
-                     float(chain.x[l].std(ddof=1) / np.sqrt(n_replicas))))
-    files = []
-    write_csv(outdir / "chain.csv",
-              "level,mean_x,var_x,predicted_mean,predicted_var,se_mean", rows)
-    files.append(outdir / "chain.csv")
+    rows = [(l, float(chain.x[l].mean()), float(chain.x[l].var(ddof=1)),
+             float(means[l]), float(variances[l]),
+             float(chain.x[l].std(ddof=1) / np.sqrt(n_replicas)))
+            for l in range(depth + 1)]
     summary = {"depth": depth, "replicas": n_replicas,
                "theta_start": chain.theta_start}
-    write_json(outdir / "summary.json", summary)
-    files.append(outdir / "summary.json")
-    write_manifest(outdir, raw, seed, files)
-    return summary
+    return summary, [
+        write_csv(job.outdir / "chain.csv",
+                  "level,mean_x,var_x,predicted_mean,predicted_var,se_mean",
+                  rows),
+        write_json(job.outdir / "summary.json", summary)]
 
 
-def cmd_profile(cfg, raw, seed, outdir, args) -> dict:
-    mp = build_model(cfg)
-    run = _run_block(cfg)
-    depth = int(run.get("depth", mp.levels))
-    derived = params.derive(mp)
-    coeffs = params.compute_A(mp, derived, depth + 1)
+def cmd_profile(job: Job) -> tuple:
+    depth = job.run.get("depth", job.model.levels)
+    coeffs = params.compute_A(job.model, params.derive(job.model), depth + 1)
     values = renorm.volatility_profile(depth, coeffs)
-    label = renorm.classify_profile(coeffs, depth)
-    files = []
-    write_csv(outdir / "profile.csv", "l,f_value",
-              list(enumerate(values)))
-    files.append(outdir / "profile.csv")
-    summary = {"depth": depth, "classification": label}
-    write_json(outdir / "summary.json", summary)
-    files.append(outdir / "summary.json")
-    write_manifest(outdir, raw, seed, files)
-    return summary
+    summary = {"depth": depth,
+               "classification": renorm.classify_profile(coeffs, depth)}
+    return summary, [
+        write_csv(job.outdir / "profile.csv", "l,f_value",
+                  list(enumerate(values))),
+        write_json(job.outdir / "summary.json", summary)]
 
 
 _COMMANDS = {
@@ -400,15 +425,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, raw = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        outdir = Path(args.out or cfg.get("out", "out"))
+        outdir = _read(Path, args.out or cfg.get("out", "out"), "out")
         outdir.mkdir(parents=True, exist_ok=True)
         # an earlier run's manifest would vouch for this run's debris
         (outdir / "manifest.json").unlink(missing_ok=True)
-        summary = _COMMANDS[args.command](cfg, raw, seed, outdir, args)
-    except (ConfigError, ValueError, KeyError, FileNotFoundError,
+        seed = (args.seed if args.seed is not None
+                else _read(int, cfg.get("seed", 0), "seed"))
+        mp = build_model(cfg)
+        run = {key: _read(_RUN_TYPES[key], value, f"run.{key}")
+               for key, value in cfg["run"].items() if value is not None}
+        if args.replicas is not None:
+            run["replicas"] = args.replicas
+        job = Job(mp, run, _lineages(cfg["dual"], mp), seed, outdir)
+        summary, files = _COMMANDS[args.command](job)
+        write_manifest(outdir, raw, seed, files)
+    except (ConfigError, ValueError, KeyError, OSError,
             forward.StabilityError, hiergeo.AccuracyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 1
     if not args.quiet:
         for key, val in sorted(summary.items()):

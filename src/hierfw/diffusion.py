@@ -54,7 +54,7 @@ class DiffusionFn:
 
     def __post_init__(self):
         if self.kind == "fisher_wright":
-            if self.d is None or self.d < 0:
+            if self.d is None or not self.d >= 0:
                 raise ValueError("fisher_wright needs a rate d >= 0")
             object.__setattr__(self, "lipschitz_bound", self.d)
         elif self.kind == "grid":
@@ -91,8 +91,3 @@ def grid_from_callable(f: Callable, n_nodes: int = 129) -> DiffusionFn:
     values[0] = 0.0
     values[-1] = 0.0
     return DiffusionFn(kind="grid", grid=GridFunction(nodes, values))
-
-
-def grid_from_values(nodes, values) -> DiffusionFn:
-    return DiffusionFn(kind="grid", grid=GridFunction(np.asarray(nodes),
-                                                      np.asarray(values)))

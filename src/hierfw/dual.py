@@ -85,26 +85,13 @@ class RateEntry:
     rate: float
 
 
-def _site_tables(params: ModelParams):
-    spec = params.kernel_spec()
-    C, N = params.n_colonies, params.N
-    addrs = [hiergeo.HierAddress.from_index(i, N, params.levels + 1)
-             for i in range(C)]
-    mig = np.zeros((C, C))
-    for i in range(C):
-        for j in range(C):
-            if i != j:
-                mig[i, j] = hiergeo.migration_rate(addrs[i], addrs[j], spec)
-    return mig
-
-
 def dual_event_rates(cfg: DualConfig, params: ModelParams,
                      d: Optional[float] = None) -> list:
     """Enumerated event table; intended for small configurations and tests."""
     d = params.g.d if d is None else d
     if d is None:
         raise DualityError("coalescence needs a Fisher-Wright rate d")
-    mig = _site_tables(params)
+    mig = hiergeo.migration_matrix(params.kernel_spec())
     exch = params.exchange_rates()
     K = np.asarray(params.K)
     entries = []

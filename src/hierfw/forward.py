@@ -132,8 +132,7 @@ class _StepContext:
         self.level_rates = spec.level_rates()          # c_{l-1} / N^{l-1}
         self.exch_rates = params.exchange_rates()      # e_m / N^m
         self.K = np.asarray(params.K, dtype=float)
-        chi = float(np.sum(self.K * self.exch_rates))
-        total = hiergeo.total_jump_rate(spec) + chi + params.g.lipschitz_bound
+        total = _total_rate(params)
         if dt * total > 1.0:
             raise StabilityError(
                 f"dt * total rate = {dt * total:.3g} > 1; reduce dt below "
@@ -148,12 +147,17 @@ class _StepContext:
         self.g = params.g
 
 
+def _total_rate(params: ModelParams) -> float:
+    """Stability budget's total rate: migration total + chi + Lip(g)."""
+    K = np.asarray(params.K, dtype=float)
+    chi = float(np.sum(K * params.exchange_rates()))
+    return (hiergeo.total_jump_rate(params.kernel_spec()) + chi
+            + params.g.lipschitz_bound)
+
+
 def default_dt(params: ModelParams, target: float = 0.1) -> float:
-    """dt with dt * (migration total + chi + Lip(g)) <= ``target``."""
-    spec = params.kernel_spec()
-    chi = float(np.sum(np.asarray(params.K) * params.exchange_rates()))
-    total = hiergeo.total_jump_rate(spec) + chi + params.g.lipschitz_bound
-    return target / total
+    """dt with dt * _total_rate(params) <= ``target``."""
+    return target / _total_rate(params)
 
 
 def _run_means(a: np.ndarray, N: int) -> np.ndarray:
@@ -324,12 +328,13 @@ class TrajectoryRecord:
     def snapshot_rows(self, N: int):
         if self.snapshots_x is None:
             raise ValueError("run was recorded without snapshots")
-        trunc = int(round(math.log(self.snapshots_x.shape[1], N)))
+        C = self.snapshots_x.shape[1]
+        trunc = int(round(math.log(C, N)))
+        digits = np.arange(C)[:, None] // N ** np.arange(trunc) % N
+        addrs = ["".join(map(str, row)) for row in digits.tolist()]
         rows = []
         for i, t in enumerate(self.times):
-            for cidx in range(self.snapshots_x.shape[1]):
-                digits = hiergeo.HierAddress.from_index(cidx, N, trunc).digits
-                addr = "".join(str(d) for d in digits)
+            for cidx, addr in enumerate(addrs):
                 rows.append((t, addr, self.snapshots_x[i, cidx],
                              *self.snapshots_y[i, :, cidx]))
         return rows
@@ -457,20 +462,15 @@ def lineage_generator(params: ModelParams) -> np.ndarray:
     the truncated kernel and fall asleep into colour m at rate K_m e_m N^-m;
     m-dormant lineages wake at rate e_m N^-m.  State index = role * C + colony.
     """
-    C, M, N = params.n_colonies, params.levels + 1, params.N
+    C, M = params.n_colonies, params.levels + 1
     n_states = C * (M + 1)
     if n_states > 10_000:
         raise SizeError(f"state space of size {n_states} exceeds 10^4")
-    spec = params.kernel_spec()
-    trunc = params.levels + 1
     Q = np.zeros((n_states, n_states))
-    addrs = [hiergeo.HierAddress.from_index(i, N, trunc) for i in range(C)]
+    Q[:C, :C] = hiergeo.migration_matrix(params.kernel_spec())
     exch = params.exchange_rates()
     K = np.asarray(params.K)
     for i in range(C):
-        for j in range(C):
-            if i != j:
-                Q[i, j] = hiergeo.migration_rate(addrs[i], addrs[j], spec)
         for m in range(M):
             Q[i, (m + 1) * C + i] = K[m] * exch[m]
             Q[(m + 1) * C + i, i] = exch[m]

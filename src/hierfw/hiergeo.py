@@ -172,6 +172,22 @@ def _distance_rate(d: int, spec: KernelSpec) -> float:
     return float(np.sum(np.asarray(spec.c)[ks - 1] / float(spec.N) ** (2 * ks - 1)))
 
 
+def migration_matrix(spec: KernelSpec) -> np.ndarray:
+    """Pair rates a(i, j) between all N^T colonies, by little-endian index.
+
+    The distance of indices i and j is the number of levels k < T at which
+    their level-k blocks i // N^k and j // N^k differ.
+    """
+    N, T = spec.N, spec.truncation
+    index = np.arange(N ** T)
+    dist = np.zeros((index.size, index.size), dtype=int)
+    for k in range(T):
+        block = index // N ** k
+        dist += block[:, None] != block[None, :]
+    rates = [0.0] + [_distance_rate(d, spec) for d in range(1, T + 1)]
+    return np.asarray(rates)[dist]
+
+
 def total_jump_rate(spec: KernelSpec) -> float:
     """Total jump-initiation rate sum_k c_{k-1} / N^{k-1}.
 

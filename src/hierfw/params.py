@@ -18,7 +18,6 @@ declared property of the coefficient family, never "detected" numerically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -166,16 +165,16 @@ class ModelParams:
         n = self.levels + 1
         if not (len(self.c) == len(self.e) == len(self.K) == n):
             raise ValueError("c, e, K must each hold levels+1 entries")
-        if any(v <= 0 for seq in (self.c, self.e, self.K) for v in seq):
+        if any(not v > 0 for seq in (self.c, self.e, self.K) for v in seq):
             raise ValueError("c, e, K must be positive")
+        # group order and migration growth condition, checked by KernelSpec
+        self.kernel_spec()
         logN = math.log(self.N)
         for m, (Km, em) in enumerate(zip(self.K, self.e)):
             if math.log(Km) + math.log(em) >= (m + 1) * logN:
                 raise ValueError(
                     f"K_{m} e_{m} = {Km * em} violates the exchange growth condition"
                 )
-        # migration growth condition checked by KernelSpec
-        self.kernel_spec()
 
     @classmethod
     def from_family(cls, N: int, levels: int, family: Family, g: DiffusionFn,
@@ -287,9 +286,6 @@ class RegimeReport:
     def as_text(self) -> str:
         return "\n".join(f"{k} = {v}" for k, v in self.as_dict().items()) + "\n"
 
-    def as_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
 
 def classify_regime(params: ModelParams) -> RegimeReport:
     """Tail exponent, slowly-varying class and random-walk degree.
@@ -394,13 +390,6 @@ class ClusteringCoefficients:
         if not 0 <= m <= n < len(self.terms):
             raise ValueError("block indices out of stored range")
         return float(np.sum(self.terms[m:n + 1]))
-
-    def block_table(self) -> np.ndarray:
-        n = len(self.terms)
-        tab = np.full((n, n), np.nan)
-        for m in range(n):
-            tab[m, m:] = np.cumsum(self.terms[m:])
-        return tab
 
 
 def _dichotomy_class(fam: Optional[Family], rho: float,
@@ -605,9 +594,7 @@ def hazard_diagnostic(params: ModelParams, report: RegimeReport,
         W = _window_integrals(lambda u: log_f(u) + u, edges)
         tail = slice(max(0, n_win - 5), n_win)
         slope, curv = _fit_slope(edges[1:][tail], np.log(W[tail]))
-        if slope > slope_tol:
-            return DIVERGENT
-        if abs(slope) <= slope_tol:
+        if slope >= -slope_tol:
             return DIVERGENT
         if abs(curv) > 0.35:
             return INCONCLUSIVE
@@ -621,9 +608,7 @@ def hazard_diagnostic(params: ModelParams, report: RegimeReport,
     W = _window_integrals(lambda u: log_f(u) + u, edges)
     tail = slice(max(0, n_win - 5), n_win)
     slope, _ = _fit_slope(np.log(edges[1:][tail]), np.log(W[tail]))
-    if slope > slope_tol:
-        return DIVERGENT
-    if abs(slope) <= slope_tol:
+    if slope >= -slope_tol:
         return DIVERGENT
     # negative u-slope: either genuine convergence (u^{q+1}, q < -1) or the
     # boundary 1/(u log u); one more log-substitution separates them, as the

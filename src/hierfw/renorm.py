@@ -47,6 +47,12 @@ class EquilibriumBudget:
     dt_factor: float = 0.01
     stride: int = 4
 
+    def __post_init__(self):
+        if self.n_replicas < 1:
+            raise ValueError("n_replicas must be at least 1")
+        if not self.dt_factor > 0:
+            raise ValueError("dt_factor must be positive")
+
 
 @dataclass
 class EquilibriumEstimate:
@@ -144,48 +150,9 @@ def mv_equilibrium(E: float, c: float, K: float, e: float, g: DiffusionFn,
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0,1]")
-    integ = _PairIntegrator(E, c, K, e, g, budget.dt_factor)
-    R = budget.n_replicas
     rng = rngmod.stream(seed, label, "theta", f"{theta:.17g}")
-    x = np.full(R, float(theta))
-    y = np.full(R, float(theta))
-    n_burn = integ.steps_for(budget.burn)
-    integ.advance(x, y, theta, n_burn, rng)
-    n_sample = integ.steps_for(budget.sample)
-    acc = np.zeros((6, R))
-    acc_half = np.zeros((2, R))
-    n_rec = 0
-    half_counts = [0, 0]
-    for s in range(0, n_sample, budget.stride):
-        n_adv = min(budget.stride, n_sample - s)
-        integ.advance(x, y, theta, n_adv, rng)
-        acc[0] += x
-        acc[1] += y
-        acc[2] += x * x
-        acc[3] += y * y
-        acc[4] += x * y
-        acc[5] += integ.g(x)
-        n_rec += 1
-        h = 0 if s < n_sample // 2 else 1
-        acc_half[h] += x * x
-        half_counts[h] += 1
-    means = acc / n_rec                      # per-replica time averages
-    grand = means.mean(axis=1)
-    se = means.std(axis=1, ddof=1) / math.sqrt(R)
-    h0 = acc_half[0] / max(half_counts[0], 1)
-    h1 = acc_half[1] / max(half_counts[1], 1)
-    diff = h1 - h0
-    gap = abs(float(diff.mean()))
-    gap_se = float(diff.std(ddof=1)) / math.sqrt(R)
-    flagged = bool(gap > 4.0 * gap_se + 1e-12)
-    keys = ("ex", "ey", "exx", "eyy", "exy", "fg")
-    return EquilibriumEstimate(
-        theta=theta,
-        **dict(zip(keys, map(float, grand))),
-        se={k: float(v) for k, v in zip(keys, se)},
-        flagged=flagged, n_replicas=R,
-        total_steps=(n_burn + n_sample) * R, dt=integ.dt,
-    )
+    return _equilibria(E, c, K, e, g, np.array([theta], dtype=float),
+                       budget, rng)[0]
 
 
 def mv_equilibrium_batch(E, c, K, e, g, thetas: np.ndarray,
@@ -193,10 +160,17 @@ def mv_equilibrium_batch(E, c, K, e, g, thetas: np.ndarray,
                          label: str = "F") -> list:
     """mv_equilibrium for many drift centres in one vectorised run."""
     thetas = np.asarray(thetas, dtype=float)
+    rng = rngmod.stream(seed, label, "grid", *[f"{t:.17g}" for t in thetas])
+    return _equilibria(E, c, K, e, g, thetas, budget, rng)
+
+
+def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
+                rng) -> list:
+    """Sampler behind both public entry points: burn-in, then time averages
+    of R replicas per drift centre, advanced together as (n, R) arrays."""
     integ = _PairIntegrator(E, c, K, e, g, budget.dt_factor)
     R = budget.n_replicas
     theta_mat = np.repeat(thetas[:, None], R, axis=1)
-    rng = rngmod.stream(seed, label, "grid", *[f"{t:.17g}" for t in thetas])
     x = theta_mat.copy()
     y = theta_mat.copy()
     n_burn = integ.steps_for(budget.burn)
@@ -219,7 +193,7 @@ def mv_equilibrium_batch(E, c, K, e, g, thetas: np.ndarray,
         h = 0 if s < n_sample // 2 else 1
         acc_half[h] += x * x
         half_counts[h] += 1
-    means = acc / n_rec
+    means = acc / n_rec                      # per-replica time averages
     keys = ("ex", "ey", "exx", "eyy", "exy", "fg")
     out = []
     for i, theta in enumerate(thetas):
@@ -270,7 +244,7 @@ def evaluate_F(g: DiffusionFn, E: float, c: float, K: float, e: float,
     an admissible diffusion function.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if theta_grid[0] != 0.0 or theta_grid[-1] != 1.0:
+    if theta_grid.size < 2 or theta_grid[0] != 0.0 or theta_grid[-1] != 1.0:
         raise ValueError("theta grid must include the endpoints 0 and 1")
     interior = theta_grid[1:-1]
     ests = mv_equilibrium_batch(E, c, K, e, g, interior, budget, seed, label)
@@ -423,6 +397,8 @@ def chain_moment_predictions(k: int, derived: DerivedParams,
 
 def volatility_profile(k: int, coefficients: ClusteringCoefficients) -> np.ndarray:
     """f^k(l) = A_0^l / A_0^k for l = 0..k (inclusive block sums)."""
+    if k < 0:
+        raise ValueError("profile depth must be non-negative")
     A0 = np.array([coefficients.A_block(0, l) for l in range(k + 1)])
     return A0 / A0[-1]
 

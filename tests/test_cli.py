@@ -1,9 +1,19 @@
 """CLI subcommands: wiring, validation, reproducibility."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
+import string
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierfw import cli, hiergeo
 
@@ -54,6 +64,12 @@ run:
   dt: 0.005
 seed: 7
 """
+
+
+# a run block small enough for the renormalisation subcommands to take ~1 s
+CHEAP_RENORM_CFG = CLUSTERING_CFG.replace(
+    "run:\n  horizon: 1.0\n  times: [0.0, 0.5, 1.0]",
+    "run:\n  depth: 1\n  grid_size: 5\n  replicas: 8\n  burn: 1.0\n  sample: 2.0")
 
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
@@ -224,6 +240,21 @@ def test_midrun_failure_leaves_no_manifest(tmp_path):
     ("duality-check", ("dt: 0.005", "dt: 0"), "dt must be positive"),
     ("duality-check", ("replicas: 4000", "replicas: 0"), "n_replicas"),
     ("simulate-forward", ("dt: 0.005", "dt: 0.9"), "dt * total rate"),
+    ("simulate-forward", ("dt: 0.005", "dt: abc"), "run.dt"),
+    ("duality-check", ("dt: 0.005", "dt: abc"), "run.dt"),
+    ("simulate-forward", ("dt: 0.005", "horizon: [1]"), "run.horizon"),
+    ("simulate-dual", ("dt: 0.005", "horizon: [1]"), "run.horizon"),
+    ("classify", ("c: [1.0]", "c: 1.0"), "invalid model block"),
+    ("classify", ("init:\n  theta_x: 0.7\n  theta_y: [0.4]\n  law: deterministic",
+                  "init: 5"), "init must be a mapping"),
+    ("classify", ("g:\n    kind: fisher_wright\n    d: 1.0", "g: 3"),
+     "model.g must be a mapping"),
+    ("simulate-dual", ("actives: {0: 2}", "actives: {9: 2}"), "site 9"),
+    ("classify", ("N: 2", "N: 1"), "group order must be >= 2"),
+    ("renorm-orbit", ("dt: 0.005", "depth: 1\n  grid_size: 0"), "theta grid"),
+    ("renorm-orbit", ("dt: 0.005", "depth: 1\n  dt_factor: 0"), "dt_factor"),
+    ("renorm-orbit", ("replicas: 4000", "replicas: 0\n  depth: 1"), "n_replicas"),
+    ("profile", ("dt: 0.005", "depth: -1"), "profile depth"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -236,7 +267,7 @@ def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
 
 
 def test_accuracy_error_exits_one(tmp_path, capsys, monkeypatch):
-    def too_short(cfg, raw, seed, outdir, args):
+    def too_short(job):
         raise hiergeo.AccuracyError("truncation too small for requested horizon")
 
     monkeypatch.setitem(cli._COMMANDS, "profile", too_short)
@@ -245,3 +276,71 @@ def test_accuracy_error_exits_one(tmp_path, capsys, monkeypatch):
                 "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err == "error: truncation too small for requested horizon\n"
+
+
+def test_replicas_flag_zero_is_not_replaced(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TWO_COLONY_CFG)
+    out = tmp_path / "o"
+    assert run(["duality-check", "--config", cfg, "--out", out, "--quiet",
+                "--replicas", "0"]) == 1
+    assert "n_replicas" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,cfg_text", [
+    ("classify", CLUSTERING_CFG),
+    ("profile", CLUSTERING_CFG),
+    ("simulate-forward", TWO_COLONY_CFG.replace("dt: 0.005",
+                                                "dt: 0.005\n  snapshots: true")),
+    ("simulate-dual", TWO_COLONY_CFG),
+    ("duality-check", TWO_COLONY_CFG.replace("replicas: 4000", "replicas: 200")),
+    ("renorm-orbit", CHEAP_RENORM_CFG),
+    ("interaction-chain", CHEAP_RENORM_CFG),
+], ids=lambda v: v if v in cli._COMMANDS else "cfg")
+def test_manifest_lists_every_output(tmp_path, command, cfg_text):
+    cfg = write_cfg(tmp_path, cfg_text)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = sorted(p.name for p in out.iterdir())
+    assert sorted([*manifest["files"], "manifest.json"]) == written
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert manifest["config_sha256"] == hashlib.sha256(
+        cfg.read_bytes()).hexdigest()
+
+
+def _leaves(node, path=()):
+    """Paths to the scalar values of a parsed YAML tree."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["classify", "simulate-dual"]),
+       leaf=st.sampled_from(list(_leaves(yaml.safe_load(TWO_COLONY_CFG)))),
+       value=st.one_of(st.text(string.ascii_letters, max_size=6),
+                       st.sampled_from([[], {}, None, -1, 0])))
+def test_malformed_leaf_exits_cleanly(command, leaf, value):
+    cfg = yaml.safe_load(TWO_COLONY_CFG)
+    node = cfg
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.yaml", Path(tmp) / "o"
+        path.write_text(yaml.safe_dump(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([command, "--config", path, "--out", out, "--quiet"])
+        assert code in (0, 1)
+        assert (out / "manifest.json").exists() == (code == 0)
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

@@ -107,6 +107,18 @@ def test_rate_distance_one_geometric_series():
     assert migration_rate(a, b, spec) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("N,c", [
+    (2, (1.0,)), (2, (1.0, 0.5, 0.25)), (3, (0.5, 2.0)), (4, (1.0, 2.0, 4.0)),
+])
+def test_migration_matrix_equals_pairwise_rates(N, c):
+    spec = KernelSpec(N=N, c=c)
+    C = N ** len(c)
+    addrs = [HierAddress.from_index(i, N, len(c)) for i in range(C)]
+    pairwise = np.array([[migration_rate(a, b, spec) for b in addrs]
+                         for a in addrs])
+    assert np.array_equal(hiergeo.migration_matrix(spec), pairwise)
+
+
 def test_total_jump_rate_geometric_series():
     # N=2, c_k = 1: sum_k c_{k-1} / N^{k-1} -> 2
     spec = KernelSpec(N=2, c=(1.0,) * 40)
