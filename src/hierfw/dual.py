@@ -6,7 +6,10 @@ lineages migrate with the reversed kernel (symmetric here), fall asleep into
 colour m at rate K_m e_m N^-m, coalesce pairwise at rate d when active at
 the same colony; m-dormant lineages wake at rate e_m N^-m.  Since the duality
 function only depends on occupation counts, the dual is simulated as a CTMC
-on count configurations rather than labelled partitions.
+on count configurations rather than labelled partitions.  Its generator is
+built from the single-lineage generator ``forward.lineage_generator``: each
+of the n lineages on a site moves by that generator's rates, and each active
+pair at a colony coalesces at rate d.
 
 The moment duality  E_z[ H(z(t), l) ] = E_l[ H(z, L(t)) ]  with
 H(z, l) = prod_sites z^l is checked Monte Carlo against Monte Carlo, with the
@@ -24,8 +27,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from . import hiergeo, rng as rngmod
-from .forward import SizeError, SystemState, ensemble_reduce
+from . import rng as rngmod
+from .forward import (SizeError, SystemState, _mean_se, ensemble_reduce,
+                      lineage_generator)
 from .params import DerivedParams, ModelParams, derive, wakeup_sampler
 
 
@@ -73,50 +77,6 @@ class RenewalSample:
 
 
 # ----------------------------------------------------------------------
-# Event rates
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RateEntry:
-    kind: str          # migrate | coalesce | sleep | wake
-    site: int
-    detail: int        # target colony (migrate) or colour (sleep/wake); -1 else
-    rate: float
-
-
-def dual_event_rates(cfg: DualConfig, params: ModelParams,
-                     d: Optional[float] = None) -> list:
-    """Enumerated event table; intended for small configurations and tests."""
-    d = params.g.d if d is None else d
-    if d is None:
-        raise DualityError("coalescence needs a Fisher-Wright rate d")
-    mig = hiergeo.migration_matrix(params.kernel_spec())
-    exch = params.exchange_rates()
-    K = np.asarray(params.K)
-    entries = []
-    m_act = cfg.counts[0]
-    for site in range(params.n_colonies):
-        if m_act[site] > 0:
-            for target in range(params.n_colonies):
-                if mig[site, target] > 0:
-                    entries.append(RateEntry("migrate", site, target,
-                                             m_act[site] * mig[site, target]))
-            if m_act[site] >= 2:
-                entries.append(RateEntry(
-                    "coalesce", site, -1,
-                    d * m_act[site] * (m_act[site] - 1) / 2.0))
-            for m in range(params.levels + 1):
-                entries.append(RateEntry("sleep", site, m,
-                                         m_act[site] * K[m] * exch[m]))
-        for m in range(params.levels + 1):
-            n_dorm = cfg.counts[m + 1, site]
-            if n_dorm > 0:
-                entries.append(RateEntry("wake", site, m, n_dorm * exch[m]))
-    return entries
-
-
-# ----------------------------------------------------------------------
 # Exact Gillespie simulation
 # ----------------------------------------------------------------------
 
@@ -124,11 +84,8 @@ def dual_event_rates(cfg: DualConfig, params: ModelParams,
 class _DualContext:
     """Aggregated per-lineage rates with lazy migration-target sampling."""
 
-    def __init__(self, params: ModelParams, d: float):
-        self.params = params
-        self.d = d
+    def __init__(self, params: ModelParams):
         self.N = params.N
-        self.C = params.n_colonies
         self.M = params.levels + 1
         spec = params.kernel_spec()
         level_rates = spec.level_rates()
@@ -140,7 +97,6 @@ class _DualContext:
         self.exch = params.exchange_rates()
         self.K = np.asarray(params.K)
         self.sleep_rate = float(np.sum(self.K * self.exch))
-        self.trunc = params.levels + 1
 
     def sample_target(self, site: int, rng) -> int:
         """Destination of one migration jump, conditioned on moving.
@@ -148,7 +104,7 @@ class _DualContext:
         Level l is drawn with probability proportional to its moving rate,
         then a uniform colony of the level-l block other than the source.
         """
-        level = int(rng.choice(self.trunc, p=self.level_p)) + 1
+        level = int(rng.choice(self.M, p=self.level_p)) + 1
         width = self.N ** level
         base = (site // width) * width
         offset = int(rng.integers(width - 1))
@@ -168,7 +124,9 @@ def simulate_dual(cfg0: DualConfig, params: ModelParams, horizon: float,
     d = params.g.d if d is None else d
     if d is None:
         raise DualityError("coalescence needs a Fisher-Wright rate d")
-    ctx = _DualContext(params, d)
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    ctx = _DualContext(params)
     cfg = cfg0.copy()
     t = 0.0
     log = []
@@ -235,10 +193,7 @@ def enumerate_count_states(params: ModelParams, n_max: int,
     states = []
     for n in range(1, n_max + 1):
         for combo in itertools.combinations_with_replacement(range(n_sites), n):
-            counts = np.zeros((M + 1, C), dtype=int)
-            for flat in combo:
-                counts[flat // C, flat % C] += 1
-            states.append(counts)
+            states.append(np.bincount(combo, minlength=n_sites).reshape(M + 1, C))
             if len(states) > cap:
                 raise SizeError(f"count-state space exceeds {cap}")
     return states
@@ -246,28 +201,40 @@ def enumerate_count_states(params: ModelParams, n_max: int,
 
 def dual_generator(params: ModelParams, states: list,
                    d: Optional[float] = None) -> np.ndarray:
-    """CTMC generator of the block-counting process on enumerated states."""
+    """CTMC generator of the block-counting process on enumerated states.
+
+    With q the single-lineage generator on sites role * C + colony, a site a
+    holding n lineages sends one to site b at rate n q(a, b), and n active
+    lineages at one colony lose one to coalescence at rate d n (n - 1) / 2.
+    Jumps to states outside ``states`` are dropped.
+    """
     d = params.g.d if d is None else d
+    if d is None:
+        raise DualityError("coalescence needs a Fisher-Wright rate d")
+    q = lineage_generator(params)
+    np.fill_diagonal(q, 0.0)
+    targets = [np.flatnonzero(row) for row in q]
+    C = params.n_colonies
     index = {s.tobytes(): i for i, s in enumerate(states)}
     Q = np.zeros((len(states), len(states)))
+
+    def add(i, new, rate):
+        j = index.get(new.tobytes())
+        if j is not None:
+            Q[i, j] += rate
+
     for i, s in enumerate(states):
-        for entry in dual_event_rates(DualConfig(s.copy()), params, d=d):
-            new = s.copy()
-            if entry.kind == "migrate":
-                new[0, entry.site] -= 1
-                new[0, entry.detail] += 1
-            elif entry.kind == "coalesce":
-                new[0, entry.site] -= 1
-            elif entry.kind == "sleep":
-                new[0, entry.site] -= 1
-                new[entry.detail + 1, entry.site] += 1
-            else:
-                new[entry.detail + 1, entry.site] -= 1
-                new[0, entry.site] += 1
-            j = index.get(new.tobytes())
-            if j is None:
-                continue
-            Q[i, j] += entry.rate
+        flat = s.reshape(-1)
+        for a in np.flatnonzero(flat):
+            n = flat[a]
+            new = flat.copy()
+            new[a] -= 1
+            if a < C and n >= 2:
+                add(i, new, d * n * (n - 1) / 2.0)
+            for b in targets[a]:
+                new[b] += 1
+                add(i, new, n * q[a, b])
+                new[b] -= 1
     np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
     return Q
 
@@ -278,15 +245,23 @@ def duality_function(state: SystemState, counts: np.ndarray) -> float:
                  np.prod(state.y ** counts[1:]))
 
 
+def _count_chain(params: ModelParams, z: SystemState, cfg0: DualConfig,
+                 d: Optional[float]) -> tuple:
+    """(Q, start index, H(z, .)) on all states of at most cfg0.total lineages."""
+    states = enumerate_count_states(params, cfg0.total)
+    start = {s.tobytes(): i for i, s in enumerate(states)}[
+        cfg0.counts.astype(int).tobytes()]
+    H = np.array([duality_function(z, s) for s in states])
+    return dual_generator(params, states, d=d), start, H
+
+
 def exact_dual_moment(params: ModelParams, z: SystemState, cfg0: DualConfig,
                       t: float, d: Optional[float] = None) -> float:
     """E[H(z, L(t))] by exponentiating the count-CTMC generator."""
-    states = enumerate_count_states(params, cfg0.total)
-    index = {s.tobytes(): i for i, s in enumerate(states)}
-    Q = dual_generator(params, states, d=d)
-    p = expm(Q * t)[index[cfg0.counts.astype(int).tobytes()]]
-    H = np.array([duality_function(z, s) for s in states])
-    return float(p @ H)
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    Q, start, H = _count_chain(params, z, cfg0, d)
+    return float(expm(Q * t)[start] @ H)
 
 
 def _next_states(cum_rows: np.ndarray, u: np.ndarray,
@@ -308,9 +283,7 @@ def _sample_dual_H(params: ModelParams, z: SystemState, cfg0: DualConfig,
     The count-state space is enumerated once and the jump chain is advanced
     for all replicas simultaneously; this is an exact-law sampler.
     """
-    states = enumerate_count_states(params, cfg0.total)
-    index = {s.tobytes(): i for i, s in enumerate(states)}
-    Q = dual_generator(params, states, d=d)
+    Q, start, H = _count_chain(params, z, cfg0, d)
     out_rate = -Q.diagonal()
     P = Q.copy()
     np.fill_diagonal(P, 0.0)
@@ -318,12 +291,11 @@ def _sample_dual_H(params: ModelParams, z: SystemState, cfg0: DualConfig,
         P = np.where(out_rate[:, None] > 0, P / out_rate[:, None], 0.0)
     cumP = np.cumsum(P, axis=1)
     last = P.shape[1] - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
-    H = np.array([duality_function(z, s) for s in states])
     total = 0.0
     total_sq = 0.0
     for chunk, width in rngmod.replica_chunks(n_replicas):
         rng = rngmod.stream(seed, "dual-H", chunk)
-        s_idx = np.full(rngmod.CHUNK, index[cfg0.counts.astype(int).tobytes()])
+        s_idx = np.full(rngmod.CHUNK, start)
         t_now = np.zeros(rngmod.CHUNK)
         alive = np.ones(rngmod.CHUNK, dtype=bool)
         while np.any(alive):
@@ -343,9 +315,8 @@ def _sample_dual_H(params: ModelParams, z: SystemState, cfg0: DualConfig,
         vals = H[s_idx[:width]]
         total += vals.sum()
         total_sq += (vals ** 2).sum()
-    mean = float(total / n_replicas)
-    var = max(float(total_sq / n_replicas) - mean ** 2, 0.0)
-    return mean, math.sqrt(var / n_replicas)
+    mean, se = _mean_se(total, total_sq, n_replicas)
+    return float(mean), float(se)
 
 
 # ----------------------------------------------------------------------

@@ -352,11 +352,9 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
     levels = np.asarray(plan.levels if plan.levels is not None
                         else range(params.levels + 2))
     K = np.asarray(params.K, dtype=float)
-    steps_at = [int(round(t / dt)) for t in plan.times]
-    if any(s < 0 or s * dt > horizon * (1 + 1e-9) + dt for s in steps_at):
+    steps_at = _record_steps(plan.times, dt)
+    if any(s * dt > horizon * (1 + 1e-9) + dt for s in steps_at):
         raise ValueError("record times must lie in [0, horizon]")
-    if sorted(steps_at) != steps_at:
-        raise ValueError("record times must be non-decreasing")
     T, L, M, C = len(steps_at), len(levels), params.levels + 1, params.n_colonies
     top = params.levels + 1
     needed = {int(l) for l in levels} | {top}
@@ -391,6 +389,23 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
 # ----------------------------------------------------------------------
 
 
+def _record_steps(times: Sequence[float], dt: float) -> list:
+    """Step index of each record time; times must be >= 0 and non-decreasing."""
+    if any(t < 0 for t in times):
+        raise ValueError("record times must be non-negative")
+    steps = [int(round(t / dt)) for t in times]
+    if sorted(steps) != steps:
+        raise ValueError("record times must be non-decreasing")
+    return steps
+
+
+def _mean_se(sums, sumsq, n_replicas: int) -> tuple:
+    """Replica mean and its standard error from sums of values and squares."""
+    mean = sums / n_replicas
+    var = np.maximum(sumsq / n_replicas - mean ** 2, 0.0)
+    return mean, np.sqrt(var / n_replicas)
+
+
 def ensemble_reduce(params: ModelParams, init, times: Sequence[float],
                     n_replicas: int, seed: int, reducer: Callable,
                     dt: Optional[float] = None, mode: str = "exp",
@@ -407,11 +422,11 @@ def ensemble_reduce(params: ModelParams, init, times: Sequence[float],
     if n_replicas < 1:
         raise ValueError("n_replicas must be at least 1")
     ctx = _StepContext(params, dt, mode)
-    steps_at = [int(round(t / dt)) for t in times]
+    steps_at = _record_steps(times, dt)
     C, M, CHUNK = params.n_colonies, params.levels + 1, rngmod.CHUNK
     per_group = max(1, _GROUP_BYTES // (CHUNK * C * (M + 1) * 8))
     chunks = list(rngmod.replica_chunks(n_replicas))
-    sums = sumsq = None
+    sums, sumsq = [0.0] * len(steps_at), [0.0] * len(steps_at)
     clips = 0
     total_steps = 0
     for first in range(0, len(chunks), per_group):
@@ -427,27 +442,18 @@ def ensemble_reduce(params: ModelParams, init, times: Sequence[float],
                 part = slice(i * CHUNK, (i + 1) * CHUNK)
                 x[part], y[part] = initial_arrays(params, init, rng, width=CHUNK)
         done = 0
-        vals = []
-        for target in steps_at:
+        for i, target in enumerate(steps_at):
             clips += _advance(x, y, target - done, ctx, *rngs)
             done = target
-            vals.append(np.asarray(reducer(x, y)))
+            vals = np.asarray(reducer(x, y))
+            # summed chunk by chunk, leaving out a partial chunk's padding rows
+            for k, (_, width) in enumerate(group):
+                part = vals[k * CHUNK:k * CHUNK + width]
+                sums[i] += part.sum(axis=0)
+                sumsq[i] += (part ** 2).sum(axis=0)
         total_steps += done * rows * C
-        block = np.stack(vals)                      # (T, rows, Q)
-        # summed chunk by chunk, leaving out a partial chunk's padding rows
-        for i, (_, width) in enumerate(group):
-            part = block[:, i * CHUNK:i * CHUNK + width]
-            if sums is None:
-                sums = part.sum(axis=1)
-                sumsq = (part ** 2).sum(axis=1)
-            else:
-                sums += part.sum(axis=1)
-                sumsq += (part ** 2).sum(axis=1)
-    mean = sums / n_replicas
-    var = np.maximum(sumsq / n_replicas - mean ** 2, 0.0)
-    se = np.sqrt(var / n_replicas)
-    clip_fraction = clips / max(total_steps, 1)
-    return mean, se, clip_fraction
+    mean, se = _mean_se(np.array(sums), np.array(sumsq), n_replicas)
+    return mean, se, clips / max(total_steps, 1)
 
 
 # ----------------------------------------------------------------------
@@ -470,10 +476,10 @@ def lineage_generator(params: ModelParams) -> np.ndarray:
     Q[:C, :C] = hiergeo.migration_matrix(params.kernel_spec())
     exch = params.exchange_rates()
     K = np.asarray(params.K)
-    for i in range(C):
-        for m in range(M):
-            Q[i, (m + 1) * C + i] = K[m] * exch[m]
-            Q[(m + 1) * C + i, i] = exch[m]
+    active = np.arange(C)
+    for m in range(M):
+        Q[active, (m + 1) * C + active] = K[m] * exch[m]
+        Q[(m + 1) * C + active, active] = exch[m]
     np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
     return Q
 
@@ -515,49 +521,34 @@ def mckean_vlasov_mean(K: float, e: float, theta_x: float, theta_y: float,
 def simulate_mckean_vlasov(c: float, K: float, e: float, g, theta_x: float,
                            theta_y: float, times: Sequence[float],
                            n_replicas: int, seed: int,
-                           dt: float = 0.01, law: str = "deterministic",
-                           concentration: float = 2.0) -> tuple:
+                           dt: float = 0.01) -> tuple:
     """Ensemble of the single-colony process with self-consistent drift.
 
-    The mean-field drift c (E[x(t)] - x) uses the closed-form mean, which is
-    the exact reduction of the self-consistent evolution.  Returns means and
-    standard errors of (x, y) at the requested times, each shaped (T, 2).
+    Every replica starts at (theta_x, theta_y).  The mean-field drift
+    c (E[x(t)] - x) uses the closed-form mean, which is the exact reduction
+    of the self-consistent evolution.  Returns means and standard errors of
+    (x, y) at the requested times, each shaped (T, 2).
     """
-    steps_at = [int(round(t / dt)) for t in times]
-    n_steps = max(steps_at) if steps_at else 0
-    grid = np.arange(n_steps) * dt
+    steps_at = _record_steps(times, dt)
+    grid = np.arange(max(steps_at, default=0)) * dt
     mean_x_path, _ = mckean_vlasov_mean(K, e, theta_x, theta_y, grid)
+    f = 1.0 - math.exp(-e * dt)
     sums = np.zeros((len(steps_at), 2))
     sumsq = np.zeros((len(steps_at), 2))
     for chunk, width in rngmod.replica_chunks(n_replicas):
         rng = rngmod.stream(seed, "mckean-vlasov", chunk)
-        w = rngmod.CHUNK
-        if law == "deterministic":
-            x = np.full(w, theta_x)
-            y = np.full(w, theta_y)
-        elif law == "beta":
-            x = rng.beta(theta_x * concentration, (1 - theta_x) * concentration, w)
-            y = rng.beta(max(theta_y * concentration, 1e-12),
-                         max((1 - theta_y) * concentration, 1e-12), w)
-        else:
-            x = (rng.random(w) < theta_x).astype(float)
-            y = (rng.random(w) < theta_y).astype(float)
-        f = 1.0 - math.exp(-e * dt)
-        record = {s: i for i, s in enumerate(steps_at)}
-        if 0 in record:
-            i = record[0]
+        x = np.full(rngmod.CHUNK, theta_x)
+        y = np.full(rngmod.CHUNK, theta_y)
+        done = 0
+        for i, target in enumerate(steps_at):
+            for s in range(done, target):
+                dy = (x - y) * f
+                drift = c * (mean_x_path[s] - x) * dt - K * dy
+                noise = (np.sqrt(np.maximum(g(x), 0.0) * dt)
+                         * rng.standard_normal(rngmod.CHUNK))
+                x = np.clip(x + drift + noise, 0.0, 1.0)
+                y = np.clip(y + dy, 0.0, 1.0)
+            done = target
             sums[i] += np.stack([x[:width].sum(), y[:width].sum()])
             sumsq[i] += np.stack([(x[:width] ** 2).sum(), (y[:width] ** 2).sum()])
-        for s in range(n_steps):
-            dy = (x - y) * f
-            drift = c * (mean_x_path[s] - x) * dt - K * dy
-            noise = np.sqrt(np.maximum(g(x), 0.0) * dt) * rng.standard_normal(w)
-            x = np.clip(x + drift + noise, 0.0, 1.0)
-            y = np.clip(y + dy, 0.0, 1.0)
-            if s + 1 in record:
-                i = record[s + 1]
-                sums[i] += np.stack([x[:width].sum(), y[:width].sum()])
-                sumsq[i] += np.stack([(x[:width] ** 2).sum(), (y[:width] ** 2).sum()])
-    mean = sums / n_replicas
-    var = np.maximum(sumsq / n_replicas - mean ** 2, 0.0)
-    return mean, np.sqrt(var / n_replicas)
+    return _mean_se(sums, sumsq, n_replicas)

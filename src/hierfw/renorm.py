@@ -296,6 +296,8 @@ def iterate_F_scaled(g: DiffusionFn, params: ModelParams,
                      n_levels: int, budget: EquilibriumBudget, seed: int,
                      theta_grid: Optional[np.ndarray] = None) -> OrbitReport:
     """Compute F^(n) g with level-n rates and report A_n F^(n) g vs g_FW."""
+    if n_levels < 1:
+        raise ValueError("orbit depth must be at least 1")
     if n_levels > params.levels + 1:
         raise ValueError("orbit depth exceeds stored coefficient range")
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid)

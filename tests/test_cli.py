@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import string
 import tempfile
 from pathlib import Path
@@ -15,6 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hierfw
 from hierfw import cli, hiergeo
 
 
@@ -255,6 +257,11 @@ def test_midrun_failure_leaves_no_manifest(tmp_path):
     ("renorm-orbit", ("dt: 0.005", "depth: 1\n  dt_factor: 0"), "dt_factor"),
     ("renorm-orbit", ("replicas: 4000", "replicas: 0\n  depth: 1"), "n_replicas"),
     ("profile", ("dt: 0.005", "depth: -1"), "profile depth"),
+    ("duality-check", ("t: 1.0", "t: -1"), "record times must be non-negative"),
+    ("simulate-dual", ("dt: 0.005", "horizon: -1"), "horizon must be non-negative"),
+    ("renorm-orbit", ("dt: 0.005", "depth: -1"), "orbit depth"),
+    ("renorm-orbit", ("dt: 0.005", "depth: 0"), "orbit depth"),
+    ("interaction-chain", ("dt: 0.005", "depth: -1"), "orbit depth"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -264,6 +271,13 @@ def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (out / "manifest.json").exists()
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib: requires-python admits 3.10, which lacks tomllib
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+    assert hierfw.__version__ == version
 
 
 def test_accuracy_error_exits_one(tmp_path, capsys, monkeypatch):

@@ -29,47 +29,66 @@ def z_state():
 # ----------------------------------------------------------------------
 
 
+def _state_index(states, counts):
+    return next(i for i, s in enumerate(states) if np.array_equal(s, counts))
+
+
+@pytest.mark.parametrize("N,levels", [(2, 0), (2, 1), (3, 1)])
+def test_one_lineage_count_generator_is_lineage_generator(N, levels):
+    mp = P.ModelParams(N=N, levels=levels, c=(1.0, 0.5)[:levels + 1],
+                       e=(0.7, 0.3)[:levels + 1], K=(1.3, 2.0)[:levels + 1],
+                       g=fisher_wright(2.0), d=2.0)
+    Q = D.dual_generator(mp, D.enumerate_count_states(mp, 1))
+    assert np.array_equal(Q, F.lineage_generator(mp))
+
+
 def test_two_actives_coalesce_at_rate_d():
-    cfg = D.DualConfig.actives(two_colony(), {0: 2})
-    entries = D.dual_event_rates(cfg, two_colony())
-    coal = [e for e in entries if e.kind == "coalesce"]
-    assert len(coal) == 1
-    assert coal[0].rate == pytest.approx(1.0)
+    mp = two_colony()
+    states = D.enumerate_count_states(mp, 2)
+    Q = D.dual_generator(mp, states)
+    pair = D.DualConfig.actives(mp, {0: 2}).counts
+    single = D.DualConfig.actives(mp, {0: 1}).counts
+    rate = Q[_state_index(states, pair), _state_index(states, single)]
+    assert rate == pytest.approx(1.0)
 
 
 def test_single_dormant_only_wakes():
     mp = two_colony()
     counts = np.zeros((2, 2), dtype=int)
     counts[1, 0] = 1  # one 0-dormant lineage at colony 0
-    entries = D.dual_event_rates(D.DualConfig(counts), mp)
-    assert len(entries) == 1
-    assert entries[0].kind == "wake"
-    assert entries[0].rate == pytest.approx(mp.exchange_rates()[0])
+    states = D.enumerate_count_states(mp, 1)
+    row = D.dual_generator(mp, states)[_state_index(states, counts)]
+    assert np.count_nonzero(row > 0) == 1
+    assert row.max() == pytest.approx(mp.exchange_rates()[0])
 
 
 def test_empty_config_empty_table():
     mp = two_colony()
     cfg = D.DualConfig(np.zeros((2, 2), dtype=int))
-    assert D.dual_event_rates(cfg, mp) == []
+    log, term = D.simulate_dual(cfg, mp, 5.0, stream(16, "empty"))
+    assert log == []
+    assert term.total == 0
 
 
 def test_rate_table_matches_gillespie_clock():
-    # the sum of the enumerated rates equals the aggregated clock exactly
+    # the generator's exit rate equals the aggregated clock: actives, both
+    # colours and an active pair at one colony
     mp = P.ModelParams(N=2, levels=1, c=(1.0, 0.5), e=(1.0, 0.5), K=(1.0, 2.0),
                        g=fisher_wright(2.0), d=2.0)
     counts = np.zeros((3, 4), dtype=int)
-    counts[0] = [3, 1, 0, 2]
-    counts[1] = [1, 0, 0, 1]
-    counts[2] = [0, 2, 1, 0]
-    cfg = D.DualConfig(counts)
-    table_total = sum(e.rate for e in D.dual_event_rates(cfg, mp))
-    ctx = D._DualContext(mp, 2.0)
+    counts[0] = [2, 0, 0, 0]
+    counts[1] = [0, 1, 0, 0]
+    counts[2] = [0, 0, 0, 1]
+    states = D.enumerate_count_states(mp, 4)
+    i = _state_index(states, counts)
+    exit_rate = -D.dual_generator(mp, states)[i, i]
+    ctx = D._DualContext(mp)
     m_act = counts[0]
     pairs = m_act * (m_act - 1) // 2
     clock = (m_act.sum() * (ctx.mig_rate + ctx.sleep_rate)
              + 2.0 * pairs.sum()
              + float(np.sum(counts[1:].sum(axis=1) * ctx.exch)))
-    assert table_total == pytest.approx(clock, rel=1e-12)
+    assert exit_rate == pytest.approx(clock, rel=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -298,6 +298,22 @@ def test_stacked_ensemble_equals_per_chunk_loop(start):
     assert clip == ref_clip
 
 
+def test_ensemble_records_survive_a_view_reducer():
+    # a reducer returning a view of x must not see later steps' states
+    mp = two_colony()
+    init = P.InitSpec(theta_x=0.5, theta_y=(0.5,), law="beta")
+
+    def first_colony(x, y):
+        return x[:, :1]
+
+    mean, se, _ = F.ensemble_reduce(mp, init, (0.0, 1.0), 1024, 3,
+                                    first_colony, dt=0.01)
+    mean0, se0, _ = F.ensemble_reduce(mp, init, (0.0,), 1024, 3, first_colony,
+                                      dt=0.01)
+    assert np.array_equal(mean[:1], mean0)
+    assert np.array_equal(se[:1], se0)
+
+
 # ----------------------------------------------------------------------
 # first-moment oracle
 # ----------------------------------------------------------------------
@@ -381,6 +397,16 @@ def test_mckean_vlasov_ensemble_matches_closed_form(g):
     for i in range(len(times)):
         assert abs(mean[i, 0] - ex[i]) < 3 * se[i, 0] + 1e-3
         assert abs(mean[i, 1] - ey[i]) < 3 * se[i, 1] + 1e-3
+
+
+def test_mckean_vlasov_repeated_record_time():
+    # each record row is filled, also when two times share a step
+    args = dict(c=1.0, K=1.0, e=1.0, g=FW, theta_x=0.9, theta_y=0.2,
+                n_replicas=300, seed=5, dt=0.01)
+    mean, se = F.simulate_mckean_vlasov(times=(0.0, 0.5, 0.5), **args)
+    ref_mean, ref_se = F.simulate_mckean_vlasov(times=(0.0, 0.5), **args)
+    assert np.array_equal(mean, ref_mean[[0, 1, 1]])
+    assert np.array_equal(se, ref_se[[0, 1, 1]])
 
 
 def test_heavy_clipping_flags_run():
