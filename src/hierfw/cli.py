@@ -6,9 +6,10 @@ and converts and checks it once (model, typed run block, dual lineages); a
 malformed config exits 1 with a one-line error.  Each subcommand writes CSV
 outputs plus one JSON summary into the output directory and returns the
 paths it wrote.  ``main`` alone then writes the manifest, after every output
-file, with the config hash, seed, package version and a checksum per output
-file: a directory without one holds the debris of a failed run.  Identical
-(config, seed) pairs reproduce every output byte for byte.
+file, with the config hash, seed, the hierfw, python, numpy and scipy
+versions and a checksum per output file: a directory without one holds the
+debris of a failed run.  Identical (config, seed) pairs reproduce every
+output byte for byte under the same hierfw and numpy versions.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__, dual, forward, hiergeo, params, renorm
@@ -239,6 +241,9 @@ def write_manifest(outdir: Path, raw_config: bytes, seed: int, files):
         "config_sha256": hashlib.sha256(raw_config).hexdigest(),
         "seed": int(seed),
         "version": __version__,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "files": {f.name: sha256_file(f) for f in files},
     }
     write_json(outdir / "manifest.json", manifest)

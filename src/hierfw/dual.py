@@ -86,17 +86,15 @@ class _DualContext:
 
     def __init__(self, params: ModelParams):
         self.N = params.N
-        self.M = params.levels + 1
         spec = params.kernel_spec()
         level_rates = spec.level_rates()
         # per-level rate of jumps that actually move: c_{l-1}/N^{l-1} (1 - N^-l)
-        self.move_level_rates = level_rates * (
-            1.0 - float(self.N) ** -np.arange(1.0, params.levels + 2))
-        self.mig_rate = float(self.move_level_rates.sum())
-        self.level_p = self.move_level_rates / self.mig_rate
+        self.move_level_rates = (level_rates * (
+            1.0 - float(self.N) ** -np.arange(1.0, params.levels + 2))).tolist()
+        self.mig_rate = sum(self.move_level_rates)
         self.exch = params.exchange_rates()
-        self.K = np.asarray(params.K)
-        self.sleep_rate = float(np.sum(self.K * self.exch))
+        self.sleep_rates = (np.asarray(params.K) * self.exch).tolist()
+        self.sleep_rate = sum(self.sleep_rates)
 
     def sample_target(self, site: int, rng) -> int:
         """Destination of one migration jump, conditioned on moving.
@@ -104,7 +102,7 @@ class _DualContext:
         Level l is drawn with probability proportional to its moving rate,
         then a uniform colony of the level-l block other than the source.
         """
-        level = int(rng.choice(self.M, p=self.level_p)) + 1
+        level = _pick(self.move_level_rates, rng.random()) + 1
         width = self.N ** level
         base = (site // width) * width
         offset = int(rng.integers(width - 1))
@@ -119,7 +117,9 @@ def simulate_dual(cfg0: DualConfig, params: ModelParams, horizon: float,
 
     Returns (event_log, terminal DualConfig); the log rows are
     (time, kind, site, detail) with detail the colour for sleep/wake and the
-    destination colony for migrate.
+    destination colony for migrate.  The rate totals are kept up to date
+    event by event and sites are picked from per-role lists of lineages, so
+    an event costs O(lineages) whatever the number of colonies.
     """
     d = params.g.d if d is None else d
     if d is None:
@@ -128,56 +128,89 @@ def simulate_dual(cfg0: DualConfig, params: ModelParams, horizon: float,
         raise ValueError("horizon must be non-negative")
     ctx = _DualContext(params)
     cfg = cfg0.copy()
+    counts = cfg.counts
+    # lineages[role] holds one site per lineage: role 0 active, m+1 m-dormant
+    roles, sites = np.nonzero(counts)
+    lineages = [[] for _ in counts]
+    for role, site, n in zip(roles.tolist(), sites.tolist(),
+                             counts[roles, sites].tolist()):
+        lineages[role] += [site] * n
+    active = lineages[0]
+    # active pairs sharing a colony, sum of n (n - 1) / 2 over colonies
+    pairs = int((counts[0] * (counts[0] - 1)).sum()) // 2
+
+    def leave(role, k):
+        """Remove lineage k of ``role`` (swapped with the last) and return
+        its site."""
+        nonlocal pairs
+        lin = lineages[role]
+        lin[k], lin[-1] = lin[-1], lin[k]
+        site = lin.pop()
+        counts[role, site] -= 1
+        if role == 0:
+            pairs -= int(counts[0, site])
+        return site
+
+    def arrive(role, site):
+        nonlocal pairs
+        if role == 0:
+            pairs += int(counts[0, site])
+        counts[role, site] += 1
+        lineages[role].append(site)
+
     t = 0.0
     log = []
     while True:
-        m_act = cfg.counts[0]
-        n_act = int(m_act.sum())
-        pairs = m_act * (m_act - 1) // 2
-        rate_mig = n_act * ctx.mig_rate
-        rate_coal = d * float(pairs.sum())
-        rate_sleep = n_act * ctx.sleep_rate
-        rate_wake_m = cfg.counts[1:].sum(axis=1).astype(float) * ctx.exch
-        total = rate_mig + rate_coal + rate_sleep + float(rate_wake_m.sum())
+        n_act = len(active)
+        rates = [n_act * ctx.mig_rate, d * pairs, n_act * ctx.sleep_rate]
+        rates += [len(lin) * r for lin, r in zip(lineages[1:], ctx.exch)]
+        total = sum(rates)
         if total <= 0.0:
             break
         t += rng.exponential(1.0 / total)
         if t >= horizon:
             t = horizon
             break
-        u = rng.random() * total
-        if u < rate_mig:
-            site = _pick_site(m_act, rng)
+        kind = _pick(rates, rng.random())
+        if kind == 0:
+            site = leave(0, int(rng.integers(n_act)))
             target = ctx.sample_target(site, rng)
-            cfg.counts[0, site] -= 1
-            cfg.counts[0, target] += 1
-            if log_events:
-                log.append((t, "migrate", site, target))
-        elif u < rate_mig + rate_coal:
-            site = _pick_site(pairs, rng)
-            cfg.counts[0, site] -= 1
-            if log_events:
-                log.append((t, "coalesce", site, -1))
-        elif u < rate_mig + rate_coal + rate_sleep:
-            site = _pick_site(m_act, rng)
-            colour = int(rng.choice(ctx.M, p=ctx.K * ctx.exch / ctx.sleep_rate))
-            cfg.counts[0, site] -= 1
-            cfg.counts[colour + 1, site] += 1
-            if log_events:
-                log.append((t, "sleep", site, colour))
+            arrive(0, target)
+            event = (t, "migrate", site, target)
+        elif kind == 1:
+            occupied = sorted(set(active))
+            n_at = [int(counts[0, s]) for s in occupied]
+            site = occupied[_pick([n * (n - 1) for n in n_at], rng.random())]
+            leave(0, active.index(site))
+            event = (t, "coalesce", site, -1)
+        elif kind == 2:
+            site = leave(0, int(rng.integers(n_act)))
+            colour = _pick(ctx.sleep_rates, rng.random())
+            arrive(colour + 1, site)
+            event = (t, "sleep", site, colour)
         else:
-            colour = _pick_site(rate_wake_m, rng)
-            site = _pick_site(cfg.counts[colour + 1], rng)
-            cfg.counts[colour + 1, site] -= 1
-            cfg.counts[0, site] += 1
-            if log_events:
-                log.append((t, "wake", site, colour))
+            colour = kind - 3
+            site = leave(colour + 1, int(rng.integers(len(lineages[colour + 1]))))
+            arrive(0, site)
+            event = (t, "wake", site, colour)
+        if log_events:
+            log.append(event)
     return log, cfg
 
 
-def _pick_site(weights, rng) -> int:
-    w = np.asarray(weights, dtype=float)
-    return int(rng.choice(len(w), p=w / w.sum()))
+def _pick(weights, u: float) -> int:
+    """Index i with probability weights[i] / sum(weights), by inverse CDF
+    at u in [0, 1); a u that rounding carries past the total picks the last
+    index of positive weight."""
+    x = u * sum(weights)
+    last = 0
+    for i, w in enumerate(weights):
+        if w > 0:
+            last = i
+            x -= w
+            if x < 0:
+                return i
+    return last
 
 
 # ----------------------------------------------------------------------

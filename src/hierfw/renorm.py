@@ -73,11 +73,14 @@ class EquilibriumEstimate:
 class _PairIntegrator:
     """Vectorised split-step scheme for a batch of effective pairs.
 
-    Strang composition R(dt/2) D(dt/2) N(dt) D(dt/2) R(dt/2): the exchange
+    Strang composition R(h) D(h) N(dt) D(h) R(h) with h = dt/2: the exchange
     rotation R (weighted mean conserved, difference decaying at EKe + e) and
     the drift decay D toward theta are applied exactly; only the noise kick N
     is stochastic.  The symmetric ordering removes the O(dt) equilibrium
-    bias of the plain Euler splitting.
+    bias of the plain Euler splitting.  R and D are linear in the deviations
+    (x - theta, y - theta), so the half-steps between two kicks compose to
+    one 2x2 matrix: ``pre`` = D R before the first kick, ``mid`` = D R R D
+    between kicks and ``post`` = R D after the last.
     """
 
     def __init__(self, E, c, K, e, g, dt_factor):
@@ -96,18 +99,17 @@ class _PairIntegrator:
         # drift against noise stays accurate
         kick_sq_rate = E * E * max(g_scale, 1e-300) / (1.0 + E * K) ** 2
         self.dt = min(dt, 0.15 ** 2 / kick_sq_rate)
-        self.half_decay = math.exp(-self.r_fast * self.dt / 2.0)
-        self.half_drift = math.exp(-E * c * self.dt / 2.0)
-        self.w_u = 1.0 / (1.0 + E * K)
+        decay = math.exp(-self.r_fast * self.dt / 2.0)
+        w_u = 1.0 / (1.0 + E * K)
+        rot = np.array([[w_u * (1.0 + E * K * decay), w_u * E * K * (1.0 - decay)],
+                        [w_u * (1.0 - decay), w_u * (E * K + decay)]])
+        drift = np.diag([math.exp(-E * c * self.dt / 2.0), 1.0])
+        self.pre = (drift @ rot).tolist()
+        self.mid = (drift @ rot @ rot @ drift).tolist()
+        self.post = (rot @ drift).tolist()
 
     def steps_for(self, relax_times: float) -> int:
         return max(int(math.ceil(relax_times / max(self.r_slow, 1e-300) / self.dt)), 1)
-
-    def _half_rotation(self, x, y):
-        u = (x + self.E * self.K * y) * self.w_u
-        delta = (x - y) * self.half_decay
-        x[...] = u + (self.E * self.K * self.w_u) * delta
-        y[...] = u - self.w_u * delta
 
     def _noise_kick(self, x, rng):
         """Mean-preserving Beta redraw with variance E^2 g(x) dt.
@@ -115,28 +117,47 @@ class _PairIntegrator:
         A Gaussian kick of that size misresolves the boundary-singular
         equilibrium densities of the clustering regime (and its clipping
         biases E[g] upward); the matched Beta transition keeps the state in
-        [0,1] with the correct boundary behaviour at any step size.
+        [0,1] with the correct boundary behaviour at any step size.  Every
+        element takes one draw; elements without variance keep their value.
         """
-        v = self.E * self.E * np.maximum(self.g(x), 0.0) * self.dt
+        v = self.g(x)
+        np.maximum(v, 0.0, out=v)
+        v *= self.E * self.E * self.dt
         span = x * (1.0 - x)
-        v = np.minimum(v, 0.25 * span)
+        np.minimum(v, 0.25 * span, out=v)
         live = v > 0.0
-        if not np.any(live):
-            return
-        ratio = np.where(live, span / np.maximum(v, 1e-300) - 1.0, 1.0)
-        a = np.maximum(x * ratio, 1e-12)
-        b = np.maximum((1.0 - x) * ratio, 1e-12)
-        draw = rng.beta(a, b)
-        x[...] = np.where(live, draw, x)
+        np.maximum(v, 1e-300, out=v)
+        ratio = np.divide(span, v, out=span)
+        ratio -= 1.0
+        a = x * ratio
+        b = ratio - a
+        np.maximum(a, 1e-12, out=a)
+        np.maximum(b, 1e-12, out=b)
+        np.copyto(x, rng.beta(a, b), where=live)
+
+    @staticmethod
+    def _map(m, dx, dy):
+        """(dx, dy) <- m (dx, dy) in place, on deviations from theta."""
+        t = dx * m[1][0]
+        dx *= m[0][0]
+        dx += dy * m[0][1]
+        dy *= m[1][1]
+        dy += t
 
     def advance(self, x, y, theta, n_steps, rng):
         """In-place advance; theta is a scalar or an array broadcast over x."""
-        for _ in range(n_steps):
-            self._half_rotation(x, y)
-            x[...] = theta + (x - theta) * self.half_drift
+        if n_steps < 1:
+            return
+        x -= theta
+        y -= theta
+        self._map(self.pre, x, y)
+        for step in range(n_steps):
+            x += theta
             self._noise_kick(x, rng)
-            x[...] = theta + (x - theta) * self.half_drift
-            self._half_rotation(x, y)
+            x -= theta
+            self._map(self.mid if step < n_steps - 1 else self.post, x, y)
+        x += theta
+        y += theta
 
 
 def mv_equilibrium(E: float, c: float, K: float, e: float, g: DiffusionFn,
@@ -170,11 +191,11 @@ def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
     of R replicas per drift centre, advanced together as (n, R) arrays."""
     integ = _PairIntegrator(E, c, K, e, g, budget.dt_factor)
     R = budget.n_replicas
-    theta_mat = np.repeat(thetas[:, None], R, axis=1)
-    x = theta_mat.copy()
-    y = theta_mat.copy()
+    theta_col = thetas[:, None]
+    x = np.repeat(theta_col, R, axis=1)
+    y = x.copy()
     n_burn = integ.steps_for(budget.burn)
-    integ.advance(x, y, theta_mat, n_burn, rng)
+    integ.advance(x, y, theta_col, n_burn, rng)
     n_sample = integ.steps_for(budget.sample)
     acc = np.zeros((6,) + x.shape)
     acc_half = np.zeros((2,) + x.shape)
@@ -182,7 +203,7 @@ def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
     n_rec = 0
     for s in range(0, n_sample, budget.stride):
         n_adv = min(budget.stride, n_sample - s)
-        integ.advance(x, y, theta_mat, n_adv, rng)
+        integ.advance(x, y, theta_col, n_adv, rng)
         acc[0] += x
         acc[1] += y
         acc[2] += x * x

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import platform
 import re
 import string
 import tempfile
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,6 +324,11 @@ def test_manifest_lists_every_output(tmp_path, command, cfg_text):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert manifest["config_sha256"] == hashlib.sha256(
         cfg.read_bytes()).hexdigest()
+    # output bytes depend on numpy's generators, so the run names its libraries
+    assert manifest["version"] == hierfw.__version__
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
 
 
 def _leaves(node, path=()):

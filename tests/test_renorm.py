@@ -35,6 +35,52 @@ def test_zero_diffusion_degenerate():
     assert est.fg == 0.0
 
 
+def _reference_steps(integ, x, y, theta, n_steps):
+    """Step by step R(h) D(h) D(h) R(h), h = dt/2: a step without noise."""
+    E, K = integ.E, integ.K
+    w_u = 1.0 / (1.0 + E * K)
+    decay = math.exp(-integ.r_fast * integ.dt / 2.0)
+    drift = math.exp(-E * integ.c * integ.dt / 2.0)
+
+    def rotate(x, y):
+        u = (x + E * K * y) * w_u
+        delta = (x - y) * decay
+        return u + E * K * w_u * delta, u - w_u * delta
+
+    for _ in range(n_steps):
+        x, y = rotate(x, y)
+        x = theta + (x - theta) * drift
+        x = theta + (x - theta) * drift
+        x, y = rotate(x, y)
+    return x, y
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7])
+@pytest.mark.parametrize("theta,shape", [
+    (0.3, (3, 4)),                                  # mv_equilibrium
+    (np.array([[0.2], [0.5], [0.9]]), (3, 4)),      # _equilibria's column
+    (np.linspace(0.1, 0.9, 5), (5,)),               # chain centre, (R,)
+], ids=["scalar", "column", "centre"])
+def test_fused_map_matches_reference_steps(theta, shape, n_steps):
+    # without noise a run of steps is pre, mid ... mid, post
+    integ = R._PairIntegrator(2.0, 0.7, 1.5, 0.8, fisher_wright(0.0), 0.05)
+    rng = np.random.default_rng(0)
+    x0 = rng.random(shape)
+    y0 = rng.random(shape)
+    x, y = x0.copy(), y0.copy()
+    integ.advance(x, y, theta, n_steps, rng)
+    x_ref, y_ref = _reference_steps(integ, x0, y0, theta, n_steps)
+    assert np.max(np.abs(x - x_ref)) < 1e-13
+    assert np.max(np.abs(y - y_ref)) < 1e-13
+
+
+def test_total_steps_counts_every_replica_step():
+    est = R.mv_equilibrium(1, 1, 1, 1, FW, 0.4, SMALL, seed=1)
+    integ = R._PairIntegrator(1, 1, 1, 1, FW, SMALL.dt_factor)
+    steps = integ.steps_for(SMALL.burn) + integ.steps_for(SMALL.sample)
+    assert est.total_steps == steps * SMALL.n_replicas
+
+
 @pytest.mark.parametrize("theta", [0.0, 1.0])
 def test_boundary_theta_degenerate(theta):
     est = R.mv_equilibrium(1, 1, 1, 1, FW, theta, SMALL, seed=2)
