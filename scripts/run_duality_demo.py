@@ -17,7 +17,7 @@ from hierfw.diffusion import fisher_wright
 
 if __name__ == "__main__":
     mp = params.ModelParams(N=2, levels=0, c=(1.0,), e=(1.0,), K=(1.0,),
-                            g=fisher_wright(1.0), d=1.0,
+                            g=fisher_wright(1.0),
                             init=params.InitSpec.constant(0.5))
     z = forward.SystemState(np.array([0.9, 0.1]), np.array([[0.5, 0.5]]))
     print("z: x = (0.9, 0.1), y_0 = (0.5, 0.5); d = 1")

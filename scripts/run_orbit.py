@@ -20,7 +20,7 @@ OUT = pathlib.Path("out/orbit")
 
 def run(name, family, depth, seed):
     mp = params.ModelParams.from_family(
-        N=8, levels=depth + 1, family=family, g=fisher_wright(1.0), d=1.0,
+        N=8, levels=depth + 1, family=family, g=fisher_wright(1.0),
         init=params.InitSpec.constant(0.5))
     der = params.derive(mp)
     co = params.compute_A(mp, der, depth + 1)

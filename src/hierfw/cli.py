@@ -147,10 +147,13 @@ def build_model(cfg: dict) -> params.ModelParams:
                 concentration=float(init_cfg.get("concentration", 2.0)),
                 theta_limit=init_cfg.get("theta_limit"),
             )
-        d = m.get("d")
-        common = dict(N=int(m["N"]), levels=int(m["levels"]),
-                      g=_build_g(m.get("g")),
-                      d=None if d is None else float(d), init=init)
+        g = _build_g(m.get("g"))
+        if m.get("d") is not None and float(m["d"]) != g.d:
+            # the dual coalesces at g's own rate; model.d only restates it
+            found = f"g.d = {g.d}" if g.is_fisher_wright else "a grid g"
+            raise ConfigError(f"model.d = {m['d']} must equal the rate d of "
+                              f"a Fisher-Wright g, found {found}")
+        common = dict(N=int(m["N"]), levels=int(m["levels"]), g=g, init=init)
         if "family" in m:
             fam = _build_family(m["family"])
             return params.ModelParams.from_family(family=fam, **common)

@@ -26,6 +26,8 @@ class GridFunction:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
+        if nodes.ndim != 1 or len(nodes) < 2 or values.shape != nodes.shape:
+            raise ValueError("grid needs at least two nodes and one value per node")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ValueError("grid must include the endpoints 0 and 1")
         if np.any(np.diff(nodes) <= 0):

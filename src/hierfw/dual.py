@@ -86,14 +86,13 @@ class _DualContext:
 
     def __init__(self, params: ModelParams):
         self.N = params.N
-        spec = params.kernel_spec()
-        level_rates = spec.level_rates()
+        level_rates = params.kernel_spec().level_rates()
         # per-level rate of jumps that actually move: c_{l-1}/N^{l-1} (1 - N^-l)
         self.move_level_rates = (level_rates * (
             1.0 - float(self.N) ** -np.arange(1.0, params.levels + 2))).tolist()
         self.mig_rate = sum(self.move_level_rates)
         self.exch = params.exchange_rates()
-        self.sleep_rates = (np.asarray(params.K) * self.exch).tolist()
+        self.sleep_rates = params.sleep_rates().tolist()
         self.sleep_rate = sum(self.sleep_rates)
 
     def sample_target(self, site: int, rng) -> int:
@@ -112,7 +111,7 @@ class _DualContext:
 
 
 def simulate_dual(cfg0: DualConfig, params: ModelParams, horizon: float,
-                  rng, d: Optional[float] = None, log_events: bool = True):
+                  rng):
     """Exact Gillespie trajectory of the block-counting process.
 
     Returns (event_log, terminal DualConfig); the log rows are
@@ -121,7 +120,7 @@ def simulate_dual(cfg0: DualConfig, params: ModelParams, horizon: float,
     event by event and sites are picked from per-role lists of lineages, so
     an event costs O(lineages) whatever the number of colonies.
     """
-    d = params.g.d if d is None else d
+    d = params.g.d
     if d is None:
         raise DualityError("coalescence needs a Fisher-Wright rate d")
     if horizon < 0:
@@ -193,8 +192,7 @@ def simulate_dual(cfg0: DualConfig, params: ModelParams, horizon: float,
             site = leave(colour + 1, int(rng.integers(len(lineages[colour + 1]))))
             arrive(0, site)
             event = (t, "wake", site, colour)
-        if log_events:
-            log.append(event)
+        log.append(event)
     return log, cfg
 
 
@@ -232,8 +230,7 @@ def enumerate_count_states(params: ModelParams, n_max: int,
     return states
 
 
-def dual_generator(params: ModelParams, states: list,
-                   d: Optional[float] = None) -> np.ndarray:
+def dual_generator(params: ModelParams, states: list) -> np.ndarray:
     """CTMC generator of the block-counting process on enumerated states.
 
     With q the single-lineage generator on sites role * C + colony, a site a
@@ -241,7 +238,7 @@ def dual_generator(params: ModelParams, states: list,
     lineages at one colony lose one to coalescence at rate d n (n - 1) / 2.
     Jumps to states outside ``states`` are dropped.
     """
-    d = params.g.d if d is None else d
+    d = params.g.d
     if d is None:
         raise DualityError("coalescence needs a Fisher-Wright rate d")
     q = lineage_generator(params)
@@ -278,22 +275,22 @@ def duality_function(state: SystemState, counts: np.ndarray) -> float:
                  np.prod(state.y ** counts[1:]))
 
 
-def _count_chain(params: ModelParams, z: SystemState, cfg0: DualConfig,
-                 d: Optional[float]) -> tuple:
+def _count_chain(params: ModelParams, z: SystemState,
+                 cfg0: DualConfig) -> tuple:
     """(Q, start index, H(z, .)) on all states of at most cfg0.total lineages."""
     states = enumerate_count_states(params, cfg0.total)
     start = {s.tobytes(): i for i, s in enumerate(states)}[
         cfg0.counts.astype(int).tobytes()]
     H = np.array([duality_function(z, s) for s in states])
-    return dual_generator(params, states, d=d), start, H
+    return dual_generator(params, states), start, H
 
 
 def exact_dual_moment(params: ModelParams, z: SystemState, cfg0: DualConfig,
-                      t: float, d: Optional[float] = None) -> float:
+                      t: float) -> float:
     """E[H(z, L(t))] by exponentiating the count-CTMC generator."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    Q, start, H = _count_chain(params, z, cfg0, d)
+    Q, start, H = _count_chain(params, z, cfg0)
     return float(expm(Q * t)[start] @ H)
 
 
@@ -309,14 +306,13 @@ def _next_states(cum_rows: np.ndarray, u: np.ndarray,
 
 
 def _sample_dual_H(params: ModelParams, z: SystemState, cfg0: DualConfig,
-                   t: float, n_replicas: int, seed: int,
-                   d: Optional[float] = None) -> tuple:
+                   t: float, n_replicas: int, seed: int) -> tuple:
     """Monte Carlo of E[H(z, L(t))], vectorised over replicas.
 
     The count-state space is enumerated once and the jump chain is advanced
     for all replicas simultaneously; this is an exact-law sampler.
     """
-    Q, start, H = _count_chain(params, z, cfg0, d)
+    Q, start, H = _count_chain(params, z, cfg0)
     out_rate = -Q.diagonal()
     P = Q.copy()
     np.fill_diagonal(P, 0.0)
@@ -363,7 +359,7 @@ class DualityReport:
     lhs_se: float
     rhs: float
     rhs_se: float
-    exact_rhs: Optional[float]
+    exact_rhs: float
     t: float
     replicas: int
 
@@ -390,8 +386,7 @@ class DualityReport:
 
 def duality_estimate(params: ModelParams, z: SystemState, cfg0: DualConfig,
                      t: float, n_replicas: int, seed: int,
-                     dt: Optional[float] = None,
-                     with_exact: bool = True) -> DualityReport:
+                     dt: Optional[float] = None) -> DualityReport:
     """Both sides of the moment duality with standard errors.
 
     lhs: forward Monte Carlo of H(z(t), l) started from the deterministic
@@ -413,7 +408,7 @@ def duality_estimate(params: ModelParams, z: SystemState, cfg0: DualConfig,
     mean, se, _ = ensemble_reduce(params, z, (t,), n_replicas, seed, reducer,
                                   dt=dt, label="duality-forward")
     rhs, rhs_se = _sample_dual_H(params, z, cfg0, t, n_replicas, seed)
-    exact = exact_dual_moment(params, z, cfg0, t) if with_exact else None
+    exact = exact_dual_moment(params, z, cfg0, t)
     return DualityReport(lhs=float(mean[0, 0]), lhs_se=float(se[0, 0]),
                          rhs=rhs, rhs_se=rhs_se, exact_rhs=exact,
                          t=t, replicas=n_replicas)

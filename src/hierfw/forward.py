@@ -7,8 +7,7 @@ noise; dormant components relax linearly toward the active one.
 
 Discretisation: Euler-Maruyama for migration and noise.  The exchange terms
 use matched increments  dy_m = (x - y_m) f_m,  dx += sum K_m (y_m - x) f_m
-with f_m = 1 - exp(-e_m N^-m dt) (or e_m N^-m dt in plain Euler mode), which
-integrates the dormant relaxation exactly over the step and conserves the
+with f_m = 1 - exp(-e_m N^-m dt), which integrates the dormant relaxation exactly over the step and conserves the
 weighted population mean exactly in discrete time, removing the stiffness of
 fast colours.  States are clipped to [0,1] after each step; clip events are
 counted and a run whose clip frequency exceeds 1% is flagged.
@@ -51,8 +50,6 @@ class SizeError(ValueError):
     """State space too large for exact generator computations."""
 
 
-ROLE_ACTIVE = 0  # role index of the active population; colour m is role m+1
-
 # A step visits colonies in column tiles of about this many state entries per
 # array, so that a tile's x, y_m and increments stay in cache for the step.
 _TILE = 1 << 15
@@ -73,9 +70,6 @@ class SystemState:
     x: np.ndarray
     y: np.ndarray
     time: float = 0.0
-
-    def copy(self) -> "SystemState":
-        return SystemState(self.x.copy(), self.y.copy(), self.time)
 
 
 def initial_arrays(params: ModelParams, init: InitSpec, rng,
@@ -118,11 +112,9 @@ def initial_state(params: ModelParams, init: InitSpec, rng) -> SystemState:
 class _StepContext:
     """Precomputed rates and reshape geometry for the vectorised step."""
 
-    def __init__(self, params: ModelParams, dt: float, mode: str):
+    def __init__(self, params: ModelParams, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if mode not in ("exp", "euler"):
-            raise ValueError("dormant mode must be 'exp' or 'euler'")
         self.params = params
         self.dt = dt
         self.N = params.N
@@ -138,10 +130,7 @@ class _StepContext:
                 f"dt * total rate = {dt * total:.3g} > 1; reduce dt below "
                 f"{1.0 / total:.3g}"
             )
-        if mode == "exp":
-            self.exch_f = 1.0 - np.exp(-self.exch_rates * dt)
-        else:
-            self.exch_f = self.exch_rates * dt
+        self.exch_f = 1.0 - np.exp(-self.exch_rates * dt)
         # R_l dt with R_l = sum_{k>=l} level_rates[k-1]; see _drift_levels
         self.drift_tails = np.cumsum(self.level_rates[::-1])[::-1] * dt
         self.g = params.g
@@ -149,8 +138,7 @@ class _StepContext:
 
 def _total_rate(params: ModelParams) -> float:
     """Stability budget's total rate: migration total + chi + Lip(g)."""
-    K = np.asarray(params.K, dtype=float)
-    chi = float(np.sum(K * params.exchange_rates()))
+    chi = float(np.sum(params.sleep_rates()))
     return (hiergeo.total_jump_rate(params.kernel_spec()) + chi
             + params.g.lipschitz_bound)
 
@@ -242,30 +230,9 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
     return clips
 
 
-def step(state: SystemState, dt: float, params: ModelParams, rng,
-         mode: str = "exp") -> SystemState:
-    """One Euler-Maruyama step of the full system (single replica)."""
-    ctx = _StepContext(params, dt, mode)
-    out = state.copy()
-    x = out.x[None, :]
-    y = out.y[None, :, :]
-    _advance(x, y, 1, ctx, rng)
-    out.x, out.y = x[0], y[0]
-    out.time = state.time + dt
-    return out
-
-
 # ----------------------------------------------------------------------
-# Block averages and estimators
+# Estimators
 # ----------------------------------------------------------------------
-
-
-def block_average(state: SystemState, level: int, N: int) -> tuple:
-    """Arithmetic means of x and each y_m over the level-l block around 0."""
-    width = N ** level
-    if width > len(state.x):
-        raise ValueError("block level exceeds the truncation")
-    return float(state.x[:width].mean()), state.y[:, :width].mean(axis=1)
 
 
 def estimator_arrays(x: np.ndarray, y: np.ndarray, K: np.ndarray,
@@ -299,8 +266,6 @@ class RecordPlan:
 class TrajectoryRecord:
     times: np.ndarray                 # actual (step-aligned) record times
     levels: np.ndarray
-    block_x: np.ndarray               # (T, L)
-    block_y: np.ndarray               # (T, L, M)
     theta_bar: np.ndarray             # (T, L)
     theta_x: np.ndarray               # (T, L)
     theta_y: np.ndarray               # (T, L, M)
@@ -311,14 +276,18 @@ class TrajectoryRecord:
     snapshots_y: Optional[np.ndarray] = None   # (T, M, C)
 
     def csv_rows(self):
-        """Rows (t, level, component, value) for the trajectory export."""
+        """Rows (t, level, component, value) for the trajectory export.
+
+        The x and y<m> rows are the block averages, which are the component
+        means theta_x and theta_y of the estimators.
+        """
         rows = []
-        M = self.block_y.shape[-1]
+        M = self.theta_y.shape[-1]
         for i, t in enumerate(self.times):
             for j, l in enumerate(self.levels):
-                rows.append((t, int(l), "x", self.block_x[i, j]))
+                rows.append((t, int(l), "x", self.theta_x[i, j]))
                 for m in range(M):
-                    rows.append((t, int(l), f"y{m}", self.block_y[i, j, m]))
+                    rows.append((t, int(l), f"y{m}", self.theta_y[i, j, m]))
                 rows.append((t, int(l), "theta_bar", self.theta_bar[i, j]))
                 rows.append((t, int(l), "theta_x", self.theta_x[i, j]))
                 for m in range(M):
@@ -342,11 +311,11 @@ class TrajectoryRecord:
 
 def simulate(params: ModelParams, init: InitSpec, horizon: float,
              plan: RecordPlan, seed: int, replica: int = 0,
-             dt: Optional[float] = None, mode: str = "exp") -> TrajectoryRecord:
+             dt: Optional[float] = None) -> TrajectoryRecord:
     """Single-replica trajectory, deterministic given (seed, replica)."""
     if dt is None:
         dt = default_dt(params)
-    ctx = _StepContext(params, dt, mode)
+    ctx = _StepContext(params, dt)
     rng = rngmod.stream(seed, "forward", replica)
     x, y = initial_arrays(params, init, rng, width=1)
     levels = np.asarray(plan.levels if plan.levels is not None
@@ -375,11 +344,9 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
             snapshots_x[i] = x[0]
             snapshots_y[i] = y[0]
     clip_fraction = clips / (max(done, 1) * C)
-    # the block averages are the component means of the estimators
     return TrajectoryRecord(
         times=np.asarray(steps_at, dtype=float) * dt, levels=levels,
-        block_x=theta_x, block_y=theta_y, theta_bar=theta_bar,
-        theta_x=theta_x, theta_y=theta_y, grand_mean=grand_mean,
+        theta_bar=theta_bar, theta_x=theta_x, theta_y=theta_y, grand_mean=grand_mean,
         clip_fraction=clip_fraction, flagged=clip_fraction > 0.01,
         snapshots_x=snapshots_x, snapshots_y=snapshots_y)
 
@@ -408,7 +375,7 @@ def _mean_se(sums, sumsq, n_replicas: int) -> tuple:
 
 def ensemble_reduce(params: ModelParams, init, times: Sequence[float],
                     n_replicas: int, seed: int, reducer: Callable,
-                    dt: Optional[float] = None, mode: str = "exp",
+                    dt: Optional[float] = None,
                     label: str = "ensemble") -> tuple:
     """Monte Carlo means and standard errors of per-replica observables.
 
@@ -421,7 +388,7 @@ def ensemble_reduce(params: ModelParams, init, times: Sequence[float],
         dt = default_dt(params)
     if n_replicas < 1:
         raise ValueError("n_replicas must be at least 1")
-    ctx = _StepContext(params, dt, mode)
+    ctx = _StepContext(params, dt)
     steps_at = _record_steps(times, dt)
     C, M, CHUNK = params.n_colonies, params.levels + 1, rngmod.CHUNK
     per_group = max(1, _GROUP_BYTES // (CHUNK * C * (M + 1) * 8))
@@ -474,12 +441,11 @@ def lineage_generator(params: ModelParams) -> np.ndarray:
         raise SizeError(f"state space of size {n_states} exceeds 10^4")
     Q = np.zeros((n_states, n_states))
     Q[:C, :C] = hiergeo.migration_matrix(params.kernel_spec())
-    exch = params.exchange_rates()
-    K = np.asarray(params.K)
+    sleep, wake = params.sleep_rates(), params.exchange_rates()
     active = np.arange(C)
     for m in range(M):
-        Q[active, (m + 1) * C + active] = K[m] * exch[m]
-        Q[(m + 1) * C + active, active] = exch[m]
+        Q[active, (m + 1) * C + active] = sleep[m]
+        Q[(m + 1) * C + active, active] = wake[m]
     np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
     return Q
 

@@ -1,8 +1,8 @@
 """Geometry of the truncated hierarchical group and its random-walk kernels.
 
-Colonies live on the hierarchical group of order N truncated at a finite
-number of levels: addresses are little-endian digit strings, addition is
-componentwise mod N, and the distance between two addresses is the lowest
+Colonies live on the hierarchical group of order N truncated at T levels and
+are indexed little-endian by their digit strings, so level-k blocks are
+contiguous runs of N^k indices.  The distance of two colonies is the lowest
 level above which all their digits agree (an ultrametric).
 
 Migration jumps pick a block radius k at rate c_{k-1} / N^{k-1} and then a
@@ -12,7 +12,7 @@ uniform colony inside that block, which gives the pair rate
 
 Note that a level-k jump lands back on the starting colony with probability
 N^{-k}; the total jump-initiation rate sum_k c_{k-1}/N^{k-1} therefore splits
-into the off-diagonal kernel mass plus a self-landing mass, both exposed here.
+into the off-diagonal kernel mass plus a self-landing mass.
 
 The time-t kernel of the walk is evaluated through its eigen-expansion
 (distance-distribution weights r_j, eigen-rates h_j); the expansion is the
@@ -23,7 +23,7 @@ that time change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -35,83 +35,6 @@ class ParameterError(ValueError):
 
 class AccuracyError(RuntimeError):
     """Requested evaluation exceeds what the stored truncation supports."""
-
-
-# ----------------------------------------------------------------------
-# Addresses
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HierAddress:
-    """Point of the hierarchical group, truncated at ``truncation`` levels.
-
-    ``digits[i]`` is the level-i coordinate; digits beyond the stored tuple
-    are zero.  ``truncation`` is the number of stored levels, so the ambient
-    block holds N**truncation addresses.
-    """
-
-    digits: tuple
-    group_order: int
-    truncation: int
-
-    def __post_init__(self):
-        if self.group_order < 2:
-            raise ParameterError("group order must be >= 2")
-        if len(self.digits) != self.truncation:
-            raise ParameterError("digit count must equal truncation")
-        if any(d < 0 or d >= self.group_order for d in self.digits):
-            raise ParameterError("digits must lie in [0, N)")
-
-    @classmethod
-    def origin(cls, group_order: int, truncation: int) -> "HierAddress":
-        return cls((0,) * truncation, group_order, truncation)
-
-    @classmethod
-    def from_index(cls, index: int, group_order: int, truncation: int) -> "HierAddress":
-        digits = []
-        for _ in range(truncation):
-            index, d = divmod(index, group_order)
-            digits.append(d)
-        return cls(tuple(digits), group_order, truncation)
-
-    def index(self) -> int:
-        """Little-endian integer encoding; level-l blocks are contiguous."""
-        idx = 0
-        for d in reversed(self.digits):
-            idx = idx * self.group_order + d
-        return idx
-
-    def __add__(self, other: "HierAddress") -> "HierAddress":
-        _check_compatible(self, other)
-        N = self.group_order
-        return HierAddress(
-            tuple((a + b) % N for a, b in zip(self.digits, other.digits)),
-            N, self.truncation,
-        )
-
-    def __sub__(self, other: "HierAddress") -> "HierAddress":
-        _check_compatible(self, other)
-        N = self.group_order
-        return HierAddress(
-            tuple((a - b) % N for a, b in zip(self.digits, other.digits)),
-            N, self.truncation,
-        )
-
-
-def _check_compatible(a: HierAddress, b: HierAddress):
-    if a.group_order != b.group_order or a.truncation != b.truncation:
-        raise ParameterError("addresses live on different truncated groups")
-
-
-def hier_distance(a: HierAddress, b: HierAddress) -> int:
-    """Lowest level k such that the digits of a - b vanish from k on."""
-    _check_compatible(a, b)
-    dist = 0
-    for lvl in range(a.truncation):
-        if a.digits[lvl] != b.digits[lvl]:
-            dist = lvl + 1
-    return dist
 
 
 # ----------------------------------------------------------------------
@@ -130,15 +53,10 @@ class KernelSpec:
 
     N: int
     c: tuple
-    truncation: int = field(default=0)
 
     def __post_init__(self):
         if self.N < 2:
             raise ParameterError("group order must be >= 2")
-        trunc = self.truncation or len(self.c)
-        object.__setattr__(self, "truncation", trunc)
-        if len(self.c) != trunc:
-            raise ParameterError("need exactly one c_k per level")
         if any(ck <= 0 for ck in self.c):
             raise ParameterError("migration coefficients must be positive")
         # c_k < N^{k+1} on the prefix: a violation means the stored sequence
@@ -150,21 +68,15 @@ class KernelSpec:
                     f"c_{k} = {ck} violates the growth condition for N = {self.N}"
                 )
 
+    @property
+    def truncation(self) -> int:
+        """Number of levels T, one per stored c_k."""
+        return len(self.c)
+
     def level_rates(self) -> np.ndarray:
         """Jump-initiation rate per level: c_{k-1} / N^{k-1}, k = 1..T."""
         k = np.arange(1, self.truncation + 1)
         return np.asarray(self.c) / float(self.N) ** (k - 1)
-
-
-def migration_rate(a: HierAddress, b: HierAddress, spec: KernelSpec) -> float:
-    """Pair migration rate a(a, b); zero on the diagonal."""
-    _check_compatible(a, b)
-    if a.truncation != spec.truncation or a.group_order != spec.N:
-        raise ParameterError("addresses incompatible with kernel spec")
-    d = hier_distance(a, b)
-    if d == 0:
-        return 0.0
-    return _distance_rate(d, spec)
 
 
 def _distance_rate(d: int, spec: KernelSpec) -> float:
@@ -197,36 +109,6 @@ def total_jump_rate(spec: KernelSpec) -> float:
     return float(np.sum(spec.level_rates()))
 
 
-def self_landing_rate(spec: KernelSpec) -> float:
-    """Rate of jumps that land back on the starting colony."""
-    return _distance_rate(1, spec) if spec.truncation else 0.0
-
-
-def outflow_rate(spec: KernelSpec) -> float:
-    """Off-diagonal kernel mass sum_{b != a} a(a, b) (finite truncation)."""
-    N = spec.N
-    total = 0.0
-    for d in range(1, spec.truncation + 1):
-        n_sites = N ** d - N ** (d - 1)
-        total += n_sites * _distance_rate(d, spec)
-    return total
-
-
-def sample_migration_jump(a: HierAddress, spec: KernelSpec, rng) -> HierAddress:
-    """One migration jump from ``a``: level k with probability proportional
-    to c_{k-1}/N^{k-1}, then a uniform colony in the k-block around ``a``.
-
-    The draw may land on ``a`` itself (a level-k jump does so with
-    probability N^{-k}); such jumps are no-ops of the walk.
-    """
-    rates = spec.level_rates()
-    k = int(rng.choice(spec.truncation, p=rates / rates.sum())) + 1
-    digits = list(a.digits)
-    for lvl in range(k):
-        digits[lvl] = int(rng.integers(spec.N))
-    return HierAddress(tuple(digits), spec.N, spec.truncation)
-
-
 # ----------------------------------------------------------------------
 # Eigen-expansion of the time-t kernel
 # ----------------------------------------------------------------------
@@ -234,7 +116,7 @@ def sample_migration_jump(a: HierAddress, spec: KernelSpec, rng) -> HierAddress:
 
 @dataclass(frozen=True)
 class KernelExpansion:
-    """Distance distribution r_j, eigen-rates h_j and normaliser D(N).
+    """Distance distribution r_j and eigen-rates h_j.
 
     r_j is the probability that a jump of the rate-normalised walk covers
     hierarchical distance exactly j (j = 1..levels); h_j are the associated
@@ -249,20 +131,11 @@ class KernelExpansion:
     N: int
     r: np.ndarray
     h: np.ndarray
-    D: float
-    log_r: np.ndarray
     log_h: np.ndarray
 
     @property
     def levels(self) -> int:
         return len(self.r)
-
-    def K_jk(self, j: int, k: int) -> int:
-        if j == k:
-            return 0 if j == 0 else -1
-        if j > k:
-            return self.N - 1
-        return 0
 
 
 def build_expansion(spec: KernelSpec) -> KernelExpansion:
@@ -280,14 +153,11 @@ def build_expansion(spec: KernelSpec) -> KernelExpansion:
         i = np.arange(0, L - j + 1)
         terms = logc[j + i - 1] - (j + 2 * i) * logN
         log_u[j - 1] = np.log(N - 1) + logsumexp(terms)
-    log_D = logsumexp(log_u)
-    log_r = log_u - log_D
-    r = np.exp(log_r)
+    r = np.exp(log_u - logsumexp(log_u))
     # h_j = N/(N-1) r_j + sum_{i>j} r_i
     tail = np.concatenate([np.cumsum(r[::-1])[::-1][1:], [0.0]])
     h = N / (N - 1) * r + tail
-    return KernelExpansion(N=N, r=r, h=h, D=float(np.exp(log_D)),
-                           log_r=log_r, log_h=np.log(h))
+    return KernelExpansion(N=N, r=r, h=h, log_h=np.log(h))
 
 
 def transition_kernel(t: float, target_level: int, exp_: KernelExpansion,
@@ -337,24 +207,6 @@ def log_return_probability(log_t: np.ndarray, exp_: KernelExpansion,
     ht = np.exp(exp_.log_h[None, :] + log_t[:, None])  # h_j * t, safe products
     terms = np.log(N - 1) - ht - j[None, :] * np.log(N)
     return logsumexp(terms, axis=1)
-
-
-def degree_estimate(exp_: KernelExpansion, window: int = 10,
-                    edge: int = 12) -> float:
-    """Numeric degree of the walk from the eigen-rate decay.
-
-    The moment integral of a_t(0,0) against t^zeta reduces to
-    sum_j N^{-j} h_j^{-(1+zeta)} Gamma(1+zeta); its convergence boundary is
-    delta = log N / log(lim h_j / h_{j+1}) - 1, estimated from ``window``
-    levels ending ``edge`` levels before the truncation (the last rates lack
-    their tail sums).  Positive: transient; negative: recurrent; near zero:
-    critically recurrent.
-    """
-    if exp_.levels < window + edge + 1:
-        raise ParameterError("expansion too shallow for a degree estimate")
-    hi = exp_.levels - edge
-    ratios = exp_.log_h[hi - window - 1:hi - 1] - exp_.log_h[hi - window:hi]
-    return float(np.log(exp_.N) / np.mean(ratios) - 1.0)
 
 
 def kernel_table_rows(spec: KernelSpec, exp_: KernelExpansion):

@@ -124,6 +124,8 @@ class InitSpec:
     def __post_init__(self):
         if not 0.0 <= self.theta_x <= 1.0:
             raise ValueError("theta_x must lie in [0,1]")
+        if len(self.theta_y) == 0:
+            raise ValueError("theta_y needs at least one entry")
         if any(not 0.0 <= t <= 1.0 for t in self.theta_y):
             raise ValueError("theta_y entries must lie in [0,1]")
         if self.law not in ("deterministic", "beta", "two-point"):
@@ -157,7 +159,6 @@ class ModelParams:
     e: tuple
     K: tuple
     g: DiffusionFn
-    d: Optional[float] = None
     init: Optional[InitSpec] = None
     family: Optional[Family] = None
 
@@ -178,10 +179,9 @@ class ModelParams:
 
     @classmethod
     def from_family(cls, N: int, levels: int, family: Family, g: DiffusionFn,
-                    d: Optional[float] = None,
                     init: Optional[InitSpec] = None) -> "ModelParams":
         c, e, K = family.sequences(levels)
-        return cls(N, levels, tuple(c), tuple(e), tuple(K), g, d, init, family)
+        return cls(N, levels, tuple(c), tuple(e), tuple(K), g, init, family)
 
     def kernel_spec(self) -> hiergeo.KernelSpec:
         return hiergeo.KernelSpec(N=self.N, c=tuple(self.c))
@@ -194,6 +194,10 @@ class ModelParams:
         """Wake-up rates e_m / N^m per colour."""
         m = np.arange(self.levels + 1, dtype=float)
         return np.asarray(self.e) / float(self.N) ** m
+
+    def sleep_rates(self) -> np.ndarray:
+        """Fall-asleep rates K_m e_m / N^m of an active lineage per colour."""
+        return np.asarray(self.K) * self.exchange_rates()
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,7 @@ def slowing_constants(K: np.ndarray, upto: int) -> np.ndarray:
 def derive(params: ModelParams) -> DerivedParams:
     """All derived constants, exact on the stored prefix."""
     K = np.asarray(params.K, dtype=float)
-    rates = params.exchange_rates()
-    chi = float(np.sum(K * rates))
+    chi = float(np.sum(params.sleep_rates()))
     if params.family is not None:
         rho, rho_inf = params.family.rho()
     else:
@@ -242,9 +245,8 @@ def derive(params: ModelParams) -> DerivedParams:
 def wakeup_tail(t, params: ModelParams, derived: DerivedParams):
     """P(tau > t): mixture of exponential tails, one per colour."""
     t = np.asarray(t, dtype=float)
-    K = np.asarray(params.K)
     rates = params.exchange_rates()
-    w = K * rates / derived.chi
+    w = params.sleep_rates() / derived.chi
     return np.sum(w[:, None] * np.exp(-np.outer(rates, np.atleast_1d(t))), axis=0)
 
 
@@ -255,9 +257,8 @@ def wakeup_sampler(params: ModelParams, derived: DerivedParams, rng,
     Colour m is chosen with probability K_m e_m N^-m / chi, then the duration
     is exponential with rate e_m / N^m.
     """
-    K = np.asarray(params.K)
     rates = params.exchange_rates()
-    w = K * rates / derived.chi
+    w = params.sleep_rates() / derived.chi
     colours = rng.choice(len(w), size=n, p=w / w.sum())
     return rng.exponential(1.0 / rates[colours])
 

@@ -30,7 +30,7 @@ def verdict(num, ok, text):
 def clustering_model(levels=9):
     fam = params.ExponentialFamily(K=2.0, e=1.0, c=0.25)
     return params.ModelParams.from_family(
-        N=8, levels=levels, family=fam, g=FW, d=1.0,
+        N=8, levels=levels, family=fam, g=FW,
         init=params.InitSpec.constant(0.5))
 
 
@@ -233,7 +233,7 @@ def test_criterion_05_verdict_truth_table():
 def test_criterion_06_duality():
     t_start = time.monotonic()
     mp = params.ModelParams(N=2, levels=0, c=(1.0,), e=(1.0,), K=(1.0,),
-                            g=FW, d=1.0, init=params.InitSpec.constant(0.5))
+                            g=FW, init=params.InitSpec.constant(0.5))
     z = forward.SystemState(np.array([0.9, 0.1]), np.array([[0.5, 0.5]]))
     ok = True
     lines = []
@@ -284,7 +284,7 @@ def test_criterion_07_mean_oracle():
 def test_criterion_08_finite_systems_bound():
     N, K_, e_ = 50, 1.0, 1.0
     mp = params.ModelParams(N=N, levels=0, c=(1.0,), e=(e_,), K=(K_,), g=FW,
-                            d=1.0, init=None)
+                            init=None)
     init = params.InitSpec(theta_x=0.8, theta_y=(0.3,), law="deterministic")
     delta0 = 0.8 - 0.3
     times = (0.25, 0.5, 1.0, 1.5, 2.0)

@@ -264,6 +264,13 @@ def test_midrun_failure_leaves_no_manifest(tmp_path):
     ("renorm-orbit", ("dt: 0.005", "depth: -1"), "orbit depth"),
     ("renorm-orbit", ("dt: 0.005", "depth: 0"), "orbit depth"),
     ("interaction-chain", ("dt: 0.005", "depth: -1"), "orbit depth"),
+    ("classify", ("\n  d: 1.0\n", "\n  d: 0.05\n"), "model.d = 0.05"),
+    ("classify", ("kind: fisher_wright\n    d: 1.0",
+                  "kind: grid\n    nodes: [0.0, 0.5, 1.0]\n    values: [0.0, 0.1, 0.0]"),
+     "model.d = 1.0"),
+    ("classify", ("theta_y: [0.4]", "theta_y: []"), "theta_y needs"),
+    ("classify", ("g:\n    kind: fisher_wright\n    d: 1.0\n  d: 1.0",
+                  "g: {kind: grid, nodes: [], values: []}"), "two nodes"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))

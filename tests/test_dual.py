@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from hierfw import dual as D
 from hierfw import forward as F
+from hierfw import hiergeo
 from hierfw import params as P
 from hierfw.diffusion import fisher_wright, grid_from_callable
 from hierfw.rng import stream
@@ -16,7 +17,7 @@ from hierfw.rng import stream
 
 def two_colony(d=1.0):
     return P.ModelParams(N=2, levels=0, c=(1.0,), e=(1.0,), K=(1.0,),
-                         g=fisher_wright(d), d=d,
+                         g=fisher_wright(d),
                          init=P.InitSpec.constant(0.5))
 
 
@@ -37,7 +38,7 @@ def _state_index(states, counts):
 def test_one_lineage_count_generator_is_lineage_generator(N, levels):
     mp = P.ModelParams(N=N, levels=levels, c=(1.0, 0.5)[:levels + 1],
                        e=(0.7, 0.3)[:levels + 1], K=(1.3, 2.0)[:levels + 1],
-                       g=fisher_wright(2.0), d=2.0)
+                       g=fisher_wright(2.0))
     Q = D.dual_generator(mp, D.enumerate_count_states(mp, 1))
     assert np.array_equal(Q, F.lineage_generator(mp))
 
@@ -74,7 +75,7 @@ def test_rate_table_matches_gillespie_clock():
     # the generator's exit rate equals the aggregated clock: actives, both
     # colours and an active pair at one colony
     mp = P.ModelParams(N=2, levels=1, c=(1.0, 0.5), e=(1.0, 0.5), K=(1.0, 2.0),
-                       g=fisher_wright(2.0), d=2.0)
+                       g=fisher_wright(2.0))
     counts = np.zeros((3, 4), dtype=int)
     counts[0] = [2, 0, 0, 0]
     counts[1] = [0, 1, 0, 0]
@@ -89,6 +90,24 @@ def test_rate_table_matches_gillespie_clock():
              + 2.0 * pairs.sum()
              + float(np.sum(counts[1:].sum(axis=1) * ctx.exch)))
     assert exit_rate == pytest.approx(clock, rel=1e-12)
+
+
+def test_migration_target_matches_kernel():
+    # chi-square GOF of the Gillespie dual's jump destinations from a
+    # non-origin colony against the normalised migration-matrix row,
+    # 1e5 samples, 1% level
+    mp = P.ModelParams(N=2, levels=2, c=(1.0, 0.5, 0.25), e=(1.0,) * 3,
+                       K=(1.0,) * 3, g=fisher_wright(1.0))
+    ctx = D._DualContext(mp)
+    rng = stream(17, "target-gof")
+    counts = np.zeros(mp.n_colonies)
+    for _ in range(100_000):
+        counts[ctx.sample_target(5, rng)] += 1
+    assert counts[5] == 0
+    rates = hiergeo.migration_matrix(mp.kernel_spec())[5]
+    mask = rates > 0
+    expected = rates[mask] / rates.sum() * counts.sum()
+    assert stats.chisquare(counts[mask], expected).pvalue > 0.01
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +171,7 @@ def test_single_lineage_marginal_matches_semigroup():
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        _, term = D.simulate_dual(cfg, mp, 1.5, rng, log_events=False)
+        _, term = D.simulate_dual(cfg, mp, 1.5, rng)
         flat = np.concatenate([term.counts[0], term.counts[1]])
         counts[int(np.argmax(flat))] += 1
     tv = 0.5 * np.abs(counts / n - p_exact).sum()
@@ -178,8 +197,7 @@ def test_duality_t0_identity():
     cfg = D.DualConfig.actives(mp, {0: 2})
     h0 = D.duality_function(z, cfg.counts)
     assert D.exact_dual_moment(mp, z, cfg, 0.0) == pytest.approx(h0, rel=1e-12)
-    rep = D.duality_estimate(mp, z, cfg, 1e-9, 2000, seed=6, dt=1e-10,
-                             with_exact=False)
+    rep = D.duality_estimate(mp, z, cfg, 1e-9, 2000, seed=6, dt=1e-10)
     assert rep.lhs == pytest.approx(h0, abs=1e-6)
     assert rep.rhs == pytest.approx(h0, abs=1e-6)
 

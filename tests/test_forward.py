@@ -15,8 +15,8 @@ from hierfw.rng import CHUNK, replica_chunks, stream
 FW = fisher_wright(1.0)
 
 
-def small_params(N=2, levels=0, c=(1.0,), e=(1.0,), K=(1.0,), g=FW, d=1.0):
-    return P.ModelParams(N=N, levels=levels, c=c, e=e, K=K, g=g, d=d,
+def small_params(N=2, levels=0, c=(1.0,), e=(1.0,), K=(1.0,), g=FW):
+    return P.ModelParams(N=N, levels=levels, c=c, e=e, K=K, g=g,
                          init=P.InitSpec.constant(0.5))
 
 
@@ -29,11 +29,19 @@ def two_colony():
 # ----------------------------------------------------------------------
 
 
+def step(state, dt, params, rng):
+    """One step of the full system for a single replica."""
+    ctx = F._StepContext(params, dt)
+    x, y = state.x[None, :].copy(), state.y[None, :, :].copy()
+    F._advance(x, y, 1, ctx, rng)
+    return F.SystemState(x[0], y[0], state.time + dt)
+
+
 def test_constant_state_is_fixed_point_of_noiseless_drift():
     mp = small_params(g=fisher_wright(0.0))
     theta = 0.37
     state = F.SystemState(np.full(2, theta), np.full((1, 2), theta))
-    out = F.step(state, 0.05, mp, stream(0, "fp"))
+    out = step(state, 0.05, mp, stream(0, "fp"))
     assert np.array_equal(out.x, state.x)
     assert np.array_equal(out.y, state.y)
 
@@ -43,7 +51,7 @@ def test_zero_state_absorbing():
     state = F.SystemState(np.zeros(2), np.zeros((1, 2)))
     rng = stream(0, "absorb")
     for _ in range(50):
-        state = F.step(state, 0.02, mp, rng)
+        state = step(state, 0.02, mp, rng)
     assert np.all(state.x == 0.0)
     assert np.all(state.y == 0.0)
 
@@ -52,13 +60,13 @@ def test_step_stability_rejection():
     mp = two_colony()
     state = F.SystemState(np.full(2, 0.5), np.full((1, 2), 0.5))
     with pytest.raises(F.StabilityError):
-        F.step(state, 0.5, mp, stream(0, "unstable"))  # dt * rates > 1
+        step(state, 0.5, mp, stream(0, "unstable"))  # dt * rates > 1
 
 
 def test_default_dt_respects_budget():
     mp = small_params(N=4, levels=1, c=(2.0, 1.0), e=(1.0, 0.5), K=(1.0, 2.0))
     dt = F.default_dt(mp)
-    F._StepContext(mp, dt, "exp")  # must not raise
+    F._StepContext(mp, dt)  # must not raise
 
 
 def test_exchange_conserves_weighted_mean_exactly():
@@ -71,7 +79,7 @@ def test_exchange_conserves_weighted_mean_exactly():
     y = rng.random((1, 2, 4))
     K = np.asarray(mp.K)
     before = (x.sum() + np.sum(K[None, :, None] * y)) / (1 + K.sum())
-    ctx = F._StepContext(mp, 0.05, "exp")
+    ctx = F._StepContext(mp, 0.05)
     F._advance(x, y, 200, ctx, rng)
     after = (x.sum() + np.sum(K[None, :, None] * y)) / (1 + K.sum())
     assert after == pytest.approx(before, abs=1e-12)
@@ -108,7 +116,7 @@ def test_advance_matches_reference_kernel(N, levels, width):
     mp = small_params(N=N, levels=levels, c=tuple(0.5 + 0.3 * k for k in range(M)),
                       e=tuple(1.0 + k for k in range(M)),
                       K=tuple(0.5 * (k + 1) for k in range(M)))
-    ctx = F._StepContext(mp, F.default_dt(mp), "exp")
+    ctx = F._StepContext(mp, F.default_dt(mp))
     start = stream(N, "ref-state")
     x = 0.1 + 0.8 * start.random((width, mp.n_colonies))
     y = 0.1 + 0.8 * start.random((width, M, mp.n_colonies))
@@ -140,23 +148,23 @@ def test_coarse_to_fine_drift_matches_direct_means(N, levels):
 
 
 def test_block_average_level0_is_colony():
-    state = F.SystemState(np.array([0.2, 0.6]), np.array([[0.1, 0.9]]))
-    bx, by = F.block_average(state, 0, N=2)
+    x, y = np.array([0.2, 0.6]), np.array([[0.1, 0.9]])
+    _, bx, by = F.estimator_arrays(x, y, np.ones(1), 0, N=2)
     assert bx == 0.2
     assert by[0] == 0.1
 
 
 def test_block_average_level1_mean():
-    state = F.SystemState(np.array([0.2, 0.6]), np.array([[0.1, 0.9]]))
-    bx, by = F.block_average(state, 1, N=2)
+    x, y = np.array([0.2, 0.6]), np.array([[0.1, 0.9]])
+    _, bx, by = F.estimator_arrays(x, y, np.ones(1), 1, N=2)
     assert bx == pytest.approx(0.4)
     assert by[0] == pytest.approx(0.5)
 
 
 def test_block_average_uniform_state():
-    state = F.SystemState(np.full(8, 0.33), np.full((2, 8), 0.7))
+    x, y = np.full(8, 0.33), np.full((2, 8), 0.7)
     for level in (0, 1, 2, 3):
-        bx, by = F.block_average(state, level, N=2)
+        _, bx, by = F.estimator_arrays(x, y, np.ones(2), level, N=2)
         assert bx == pytest.approx(0.33)
         assert np.allclose(by, 0.7)
 
@@ -243,7 +251,7 @@ def test_grand_mean_zero_drift_in_ensemble():
 def _per_chunk_ensemble(params, init, times, n_replicas, seed, reducer, dt,
                         label="ensemble"):
     """ensemble_reduce as one chunk at a time: the reference for stacking."""
-    ctx = F._StepContext(params, dt, "exp")
+    ctx = F._StepContext(params, dt)
     steps_at = [int(round(t / dt)) for t in times]
     sums = sumsq = None
     clips = total_steps = 0
@@ -412,7 +420,7 @@ def test_mckean_vlasov_repeated_record_time():
 def test_heavy_clipping_flags_run():
     # noise-dominated step near the stability bound clips far above 1%
     mp = small_params(N=2, levels=0, c=(0.01,), e=(0.01,), K=(1.0,),
-                      g=fisher_wright(8.0), d=8.0)
+                      g=fisher_wright(8.0))
     init = P.InitSpec.constant(0.5)
     rec = F.simulate(mp, init, 2.0, F.RecordPlan(times=(2.0,)), seed=3,
                      dt=0.12)

@@ -1,6 +1,11 @@
-"""Geometry, migration kernel and time-t kernel checks."""
+"""Geometry, migration kernel and time-t kernel checks.
+
+The hierarchical addresses, pair rates and jump sampler below are the
+pairwise reference that ``hiergeo.migration_matrix`` is pinned against.
+"""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,20 +16,157 @@ from scipy import stats
 from hierfw import hiergeo
 from hierfw.hiergeo import (
     AccuracyError,
-    HierAddress,
+    KernelExpansion,
     KernelSpec,
     ParameterError,
     build_expansion,
-    hier_distance,
     log_return_probability,
-    migration_rate,
-    outflow_rate,
-    sample_migration_jump,
-    self_landing_rate,
     total_jump_rate,
     transition_kernel,
 )
 from hierfw.rng import stream
+
+
+# ----------------------------------------------------------------------
+# pairwise reference
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HierAddress:
+    """Point of the hierarchical group, truncated at ``truncation`` levels.
+
+    ``digits[i]`` is the level-i coordinate; digits beyond the stored tuple
+    are zero.  ``truncation`` is the number of stored levels, so the ambient
+    block holds N**truncation addresses.
+    """
+
+    digits: tuple
+    group_order: int
+    truncation: int
+
+    def __post_init__(self):
+        if self.group_order < 2:
+            raise ParameterError("group order must be >= 2")
+        if len(self.digits) != self.truncation:
+            raise ParameterError("digit count must equal truncation")
+        if any(d < 0 or d >= self.group_order for d in self.digits):
+            raise ParameterError("digits must lie in [0, N)")
+
+    @classmethod
+    def origin(cls, group_order: int, truncation: int) -> "HierAddress":
+        return cls((0,) * truncation, group_order, truncation)
+
+    @classmethod
+    def from_index(cls, index: int, group_order: int, truncation: int) -> "HierAddress":
+        digits = []
+        for _ in range(truncation):
+            index, d = divmod(index, group_order)
+            digits.append(d)
+        return cls(tuple(digits), group_order, truncation)
+
+    def index(self) -> int:
+        """Little-endian integer encoding; level-l blocks are contiguous."""
+        idx = 0
+        for d in reversed(self.digits):
+            idx = idx * self.group_order + d
+        return idx
+
+    def __add__(self, other: "HierAddress") -> "HierAddress":
+        _check_compatible(self, other)
+        N = self.group_order
+        return HierAddress(
+            tuple((a + b) % N for a, b in zip(self.digits, other.digits)),
+            N, self.truncation,
+        )
+
+    def __sub__(self, other: "HierAddress") -> "HierAddress":
+        _check_compatible(self, other)
+        N = self.group_order
+        return HierAddress(
+            tuple((a - b) % N for a, b in zip(self.digits, other.digits)),
+            N, self.truncation,
+        )
+
+
+def _check_compatible(a: HierAddress, b: HierAddress):
+    if a.group_order != b.group_order or a.truncation != b.truncation:
+        raise ParameterError("addresses live on different truncated groups")
+
+
+def hier_distance(a: HierAddress, b: HierAddress) -> int:
+    """Lowest level k such that the digits of a - b vanish from k on."""
+    _check_compatible(a, b)
+    dist = 0
+    for lvl in range(a.truncation):
+        if a.digits[lvl] != b.digits[lvl]:
+            dist = lvl + 1
+    return dist
+
+
+def _distance_rate(d: int, spec: KernelSpec) -> float:
+    """sum_{k >= d} c_{k-1} / N^{2k-1}, summed in order of k."""
+    return sum(spec.c[k - 1] / float(spec.N) ** (2 * k - 1)
+               for k in range(max(d, 1), spec.truncation + 1))
+
+
+def migration_rate(a: HierAddress, b: HierAddress, spec: KernelSpec) -> float:
+    """Pair migration rate a(a, b); zero on the diagonal."""
+    _check_compatible(a, b)
+    if a.truncation != spec.truncation or a.group_order != spec.N:
+        raise ParameterError("addresses incompatible with kernel spec")
+    d = hier_distance(a, b)
+    if d == 0:
+        return 0.0
+    return _distance_rate(d, spec)
+
+
+def self_landing_rate(spec: KernelSpec) -> float:
+    """Rate of jumps that land back on the starting colony."""
+    return _distance_rate(1, spec) if spec.truncation else 0.0
+
+
+def outflow_rate(spec: KernelSpec) -> float:
+    """Off-diagonal kernel mass sum_{b != a} a(a, b) (finite truncation)."""
+    N = spec.N
+    total = 0.0
+    for d in range(1, spec.truncation + 1):
+        n_sites = N ** d - N ** (d - 1)
+        total += n_sites * _distance_rate(d, spec)
+    return total
+
+
+def sample_migration_jump(a: HierAddress, spec: KernelSpec, rng) -> HierAddress:
+    """One migration jump from ``a``: level k with probability proportional
+    to c_{k-1}/N^{k-1}, then a uniform colony in the k-block around ``a``.
+
+    The draw may land on ``a`` itself (a level-k jump does so with
+    probability N^{-k}); such jumps are no-ops of the walk.
+    """
+    rates = spec.level_rates()
+    k = int(rng.choice(spec.truncation, p=rates / rates.sum())) + 1
+    digits = list(a.digits)
+    for lvl in range(k):
+        digits[lvl] = int(rng.integers(spec.N))
+    return HierAddress(tuple(digits), spec.N, spec.truncation)
+
+
+def degree_estimate(exp_: KernelExpansion, window: int = 10,
+                    edge: int = 12) -> float:
+    """Numeric degree of the walk from the eigen-rate decay.
+
+    The moment integral of a_t(0,0) against t^zeta reduces to
+    sum_j N^{-j} h_j^{-(1+zeta)} Gamma(1+zeta); its convergence boundary is
+    delta = log N / log(lim h_j / h_{j+1}) - 1, estimated from ``window``
+    levels ending ``edge`` levels before the truncation (the last rates lack
+    their tail sums).  Positive: transient; negative: recurrent; near zero:
+    critically recurrent.
+    """
+    if exp_.levels < window + edge + 1:
+        raise ParameterError("expansion too shallow for a degree estimate")
+    hi = exp_.levels - edge
+    ratios = exp_.log_h[hi - window - 1:hi - 1] - exp_.log_h[hi - window:hi]
+    return float(np.log(exp_.N) / np.mean(ratios) - 1.0)
 
 
 def addr(digits, N):
@@ -197,14 +339,6 @@ def test_expansion_r_normalised():
     assert np.all(np.diff(exp_.h) <= 1e-15)  # non-increasing for c_k = c^k
 
 
-def test_K_table():
-    spec = KernelSpec(N=3, c=(1.0, 1.0))
-    exp_ = build_expansion(spec)
-    assert exp_.K_jk(0, 0) == 0
-    assert exp_.K_jk(2, 2) == -1
-    assert exp_.K_jk(2, 1) == 2
-
-
 def test_kernel_t0_is_delta():
     spec = KernelSpec(N=3, c=(1.0,) * 30)
     exp_ = build_expansion(spec)
@@ -277,7 +411,7 @@ def test_degree_estimate_matches_closed_form():
     # pure exponential c_k = c^k: degree = log c / log(N/c)
     for N, c in [(4, 2.0), (8, 0.5), (8, 1.0)]:
         spec = KernelSpec(N=N, c=tuple(c ** k for k in range(40)))
-        est = hiergeo.degree_estimate(build_expansion(spec))
+        est = degree_estimate(build_expansion(spec))
         expect = np.log(c) / np.log(N / c)
         assert est == pytest.approx(expect, abs=0.02)
 
@@ -285,5 +419,5 @@ def test_degree_estimate_matches_closed_form():
 def test_degree_estimate_polynomial_critical():
     # c_k ~ k^-phi: critically recurrent, degree 0
     spec = KernelSpec(N=4, c=tuple(1.0 / max(k, 1) for k in range(60)))
-    est = hiergeo.degree_estimate(build_expansion(spec))
+    est = degree_estimate(build_expansion(spec))
     assert abs(est) < 0.03

@@ -14,15 +14,15 @@ from hierfw.rng import stream
 FW = fisher_wright(1.0)
 
 
-def exp_params(K, e, c, N=8, levels=12, init=None, g=FW, d=1.0):
+def exp_params(K, e, c, N=8, levels=12, init=None, g=FW):
     fam = P.ExponentialFamily(K=K, e=e, c=c)
-    return P.ModelParams.from_family(N=N, levels=levels, family=fam, g=g, d=d,
+    return P.ModelParams.from_family(N=N, levels=levels, family=fam, g=g,
                                      init=init or P.InitSpec.constant(0.5))
 
 
 def poly_params(alpha, beta, phi, A=1.0, B=1.0, F=1.0, N=8, levels=12, init=None):
     fam = P.PolynomialFamily(alpha=alpha, beta=beta, phi=phi, A=A, B=B, F=F)
-    return P.ModelParams.from_family(N=N, levels=levels, family=fam, g=FW, d=1.0,
+    return P.ModelParams.from_family(N=N, levels=levels, family=fam, g=FW,
                                      init=init or P.InitSpec.constant(0.5))
 
 

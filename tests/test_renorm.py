@@ -16,7 +16,7 @@ QUARTIC = grid_from_callable(lambda x: (x * (1 - x)) ** 2)
 def clustering_params(levels=9):
     fam = P.ExponentialFamily(K=2, e=1, c=0.25)
     return P.ModelParams.from_family(N=8, levels=levels, family=fam, g=FW,
-                                     d=1.0, init=P.InitSpec.constant(0.5))
+                                     init=P.InitSpec.constant(0.5))
 
 
 SMALL = R.EquilibriumBudget(n_replicas=64, burn=15, sample=40)
