@@ -1,8 +1,11 @@
 """Universality orbit experiment.
 
 Iterates the renormalisation map on g(x) = x^2 (1-x)^2 in a clustering and a
-coexistence configuration and prints the scaled sup-distance to the
-Fisher-Wright function per level.  Writes orbit CSVs into out/orbit/.
+coexistence configuration with the exact backend and prints the scaled
+sup-distance to the Fisher-Wright function per level.  At levels 1 to 3 it
+also evaluates the same F with the Monte Carlo backend, on the same input
+F^(n-1) g, and prints the largest |exact - MC| over the nodes next to MC's
+standard error at that node.  Writes orbit CSVs into out/orbit/.
 """
 
 import pathlib
@@ -12,10 +15,11 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hierfw import params, renorm
+from hierfw import exact, params, renorm
 from hierfw.diffusion import fisher_wright, grid_from_callable
 
 OUT = pathlib.Path("out/orbit")
+MC_LEVELS = 3
 
 
 def run(name, family, depth, seed):
@@ -26,12 +30,25 @@ def run(name, family, depth, seed):
     co = params.compute_A(mp, der, depth + 1)
     g0 = grid_from_callable(lambda x: (x * (1 - x)) ** 2)
     budget = renorm.EquilibriumBudget(n_replicas=96, burn=15, sample=80)
+    grid = np.linspace(0, 1, 21)
     orbit = renorm.iterate_F_scaled(g0, mp, der, co, depth, budget, seed,
-                                    theta_grid=np.linspace(0, 1, 21))
+                                    theta_grid=grid, backend="exact")
     print(f"\n{name}  (K={family.K}, e={family.e}, c={family.c})")
-    print("level   A_n        sup|A_n F^n g - g_FW|")
+    print("level   A_n        sup|A_n F^n g - g_FW|  method     "
+          "max|exact - MC|  MC SE")
+    inputs = [g0] + orbit.grids
     for n, a, s in orbit.csv_rows():
-        print(f"{n:5d}   {a:9.4f}  {s:.4f}")
+        lvl = n - 1
+        rates = (float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl])
+        line = (f"{n:5d}   {a:9.4f}  {s:.4f}                 "
+                f"{exact.exact_method(rates[0], rates[1], rates[3]):9s}")
+        if n <= MC_LEVELS:
+            mc = renorm.evaluate_F(inputs[lvl], *rates, grid, budget, seed,
+                                   label=f"check-{n}")
+            gap = np.abs(orbit.grids[lvl].grid.values - mc.fn.grid.values)
+            j = int(np.argmax(gap))
+            line += f"  {gap[j]:.2e}         {mc.se[j]:.2e}"
+        print(line)
     OUT.mkdir(parents=True, exist_ok=True)
     rows = "\n".join(f"{n},{a!r},{s!r}" for n, a, s in orbit.csv_rows())
     (OUT / f"{name}.csv").write_text("level,A_n,sup_distance\n" + rows + "\n")

@@ -54,7 +54,7 @@ def _floats(values) -> list:
 _RUN_TYPES = {"dt": float, "horizon": float, "t": float, "burn": float,
               "sample": float, "dt_factor": float, "times": _floats,
               "replicas": int, "grid_size": int, "depth": int,
-              "snapshots": bool}
+              "snapshots": bool, "backend": str}
 
 
 def _mapping(value, where: str) -> dict:
@@ -145,7 +145,8 @@ def build_model(cfg: dict) -> params.ModelParams:
                 theta_y=tuple(float(t) for t in theta_y),
                 law=init_cfg.get("law", "deterministic"),
                 concentration=float(init_cfg.get("concentration", 2.0)),
-                theta_limit=init_cfg.get("theta_limit"),
+                theta_limit=None if init_cfg.get("theta_limit") is None
+                else _read(float, init_cfg["theta_limit"], "init.theta_limit"),
             )
         g = _build_g(m.get("g"))
         if m.get("d") is not None and float(m["d"]) != g.d:
@@ -350,8 +351,10 @@ def cmd_renorm_orbit(job: Job) -> tuple:
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, min(mp.levels + 1, depth + 1))
     grid = np.linspace(0.0, 1.0, run.get("grid_size", 21))
+    backend = run.get("backend", "exact")
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth,
-                                    _budget(run), job.seed, theta_grid=grid)
+                                    _budget(run), job.seed, theta_grid=grid,
+                                    backend=backend)
     files = [write_csv(out / "orbit.csv", "level,A_n,sup_distance",
                        orbit.csv_rows())]
     for i, level in enumerate(orbit.levels):
@@ -360,7 +363,8 @@ def cmd_renorm_orbit(job: Job) -> tuple:
                                "theta,value", rows,
                                comments=[f"level = {int(level)}",
                                          f"A_n = {_fmt(orbit.A[i])}"]))
-    summary = {"depth": depth, "flagged": orbit.flagged,
+    summary = {"depth": depth, "backend": backend, "flagged": orbit.flagged,
+               "flagged_nodes": orbit.flagged_nodes(),
                "sup_distance": orbit.sup_distance.tolist(),
                "A": orbit.A.tolist()}
     return summary, files + [write_json(out / "summary.json", summary)]
@@ -376,7 +380,8 @@ def cmd_interaction_chain(job: Job) -> tuple:
     coeffs = params.compute_A(mp, derived, depth + 2)
     budget = _budget(run)
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth + 1,
-                                    budget, job.seed)
+                                    budget, job.seed,
+                                    backend=run.get("backend", "exact"))
     g_orbit = [mp.g] + orbit.grids
     chain = renorm.sample_interaction_chain(depth, mp, derived, g_orbit,
                                             n_replicas, budget, job.seed)

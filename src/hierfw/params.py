@@ -132,6 +132,8 @@ class InitSpec:
             raise ValueError(f"unknown initial law {self.law!r}")
         if self.theta_limit is None:
             object.__setattr__(self, "theta_limit", self.theta_y[-1])
+        elif not 0.0 <= self.theta_limit <= 1.0:
+            raise ValueError("theta_limit must lie in [0,1]")
 
     def theta_y_full(self, n_colours: int) -> np.ndarray:
         out = np.full(n_colours, self.theta_limit, dtype=float)

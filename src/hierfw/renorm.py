@@ -19,9 +19,16 @@ noise scale, so deep levels (where the time scales separate exponentially)
 cost the same as level 0, and the boundary-singular equilibria of the
 clustering regime keep their correct boundary behaviour.
 
-Equilibrium moments default to long-run time averages over independent
+Sampled equilibrium moments are long-run time averages over independent
 replicas (with a split-half stationarity check); an endpoint mode returning
 one independent draw per replica drives the interaction chain.
+
+The map F itself is computed without sampling by default in the CLI
+(``backend="exact"`` of ``evaluate_F``, see ``hierfw.exact``): where
+r = E c / e >= 1/32, by a Richardson-extrapolated upwind Markov chain on an
+(x, y) grid; below, by the averaged one-dimensional law of the weighted
+mean u, whose speed-measure density is explicit.  ``backend="mc"`` samples
+the equilibria as above and stays the independent cross-check.
 """
 
 from __future__ import annotations
@@ -238,6 +245,8 @@ def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
 # The renormalisation map
 # ----------------------------------------------------------------------
 
+BACKENDS = ("exact", "mc")
+
 
 def default_theta_grid(n_interior: int = 41) -> np.ndarray:
     """Chebyshev-like interior nodes plus the exact endpoints."""
@@ -248,34 +257,49 @@ def default_theta_grid(n_interior: int = 41) -> np.ndarray:
 
 @dataclass
 class FGrid:
-    """Monte Carlo evaluation of F g on a grid, with per-node errors."""
+    """Evaluation of F g on a grid, with per-node standard errors and
+    stationarity flags (zero and False without sampling)."""
 
     fn: DiffusionFn
     se: np.ndarray
-    flagged: bool
+    flags: np.ndarray
 
 
 def evaluate_F(g: DiffusionFn, E: float, c: float, K: float, e: float,
                theta_grid: np.ndarray, budget: EquilibriumBudget,
-               seed: int, label: str = "F") -> FGrid:
+               seed: int, label: str = "F", backend: str = "mc") -> FGrid:
     """(F g)(theta) = E^{Gamma_theta}[g(x)] at each grid node.
 
+    ``backend`` "mc" samples the equilibria with ``budget`` and ``seed``;
+    "exact" computes them with ``exact.exact_F`` and ignores both.
     Endpoints are pinned to zero exactly (the equilibrium at theta in {0,1}
     is degenerate at the boundary where g vanishes), so the result is again
     an admissible diffusion function.
     """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of "
+                         f"{', '.join(BACKENDS)}")
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size < 2 or theta_grid[0] != 0.0 or theta_grid[-1] != 1.0:
         raise ValueError("theta grid must include the endpoints 0 and 1")
     interior = theta_grid[1:-1]
-    ests = mv_equilibrium_batch(E, c, K, e, g, interior, budget, seed, label)
-    values = np.concatenate([[0.0], [m.fg for m in ests], [0.0]])
-    se = np.concatenate([[0.0], [m.se["fg"] for m in ests], [0.0]])
-    # Monte Carlo noise may leave slightly negative node values; they are an
-    # estimate of a non-negative quantity, clip before building the function.
+    if backend == "exact":
+        from .exact import exact_F     # only processes that use it compile it
+        fg = exact_F(g, E, c, K, e, interior)
+        se = np.zeros_like(fg)
+        flags = np.zeros(len(fg), dtype=bool)
+    else:
+        ests = mv_equilibrium_batch(E, c, K, e, g, interior, budget, seed, label)
+        fg = np.array([m.fg for m in ests])
+        se = np.array([m.se["fg"] for m in ests])
+        flags = np.array([m.flagged for m in ests], dtype=bool)
+    values = np.concatenate([[0.0], fg, [0.0]])
+    # Monte Carlo noise (or the Richardson step) may leave slightly negative
+    # node values; they estimate a non-negative quantity, so clip.
     fn = DiffusionFn(kind="grid",
                      grid=GridFunction(theta_grid, np.maximum(values, 0.0)))
-    return FGrid(fn=fn, se=se, flagged=any(m.flagged for m in ests))
+    return FGrid(fn=fn, se=np.concatenate([[0.0], se, [0.0]]),
+                 flags=np.concatenate([[False], flags, [False]]))
 
 
 def fw_recursion_oracle(d: float, levels: int,
@@ -305,7 +329,15 @@ class OrbitReport:
     scaled_se: np.ndarray
     sup_distance: np.ndarray      # sup-node |A_n F^(n) g - g_FW|
     grids: list                   # F^(n) g as DiffusionFn per level
-    flagged: bool
+    flags: np.ndarray             # (n_levels, nodes): stationarity flags
+
+    @property
+    def flagged(self) -> bool:
+        return bool(self.flags.any())
+
+    def flagged_nodes(self) -> list:
+        """Indices of the flagged grid nodes, one list per level."""
+        return [np.flatnonzero(f).tolist() for f in self.flags]
 
     def csv_rows(self):
         return [(int(n), float(a), float(s))
@@ -315,7 +347,8 @@ class OrbitReport:
 def iterate_F_scaled(g: DiffusionFn, params: ModelParams,
                      derived: DerivedParams, coefficients: ClusteringCoefficients,
                      n_levels: int, budget: EquilibriumBudget, seed: int,
-                     theta_grid: Optional[np.ndarray] = None) -> OrbitReport:
+                     theta_grid: Optional[np.ndarray] = None,
+                     backend: str = "mc") -> OrbitReport:
     """Compute F^(n) g with level-n rates and report A_n F^(n) g vs g_FW."""
     if n_levels < 1:
         raise ValueError("orbit depth must be at least 1")
@@ -324,26 +357,25 @@ def iterate_F_scaled(g: DiffusionFn, params: ModelParams,
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid)
     fw_ref = g_fw(grid)
     current = g
-    rows, ses, sups, grids = [], [], [], []
-    flagged = False
+    rows, ses, sups, grids, flags = [], [], [], [], []
     for n in range(1, n_levels + 1):
         lvl = n - 1
         res = evaluate_F(current, float(derived.E[lvl]), params.c[lvl],
                          params.K[lvl], params.e[lvl], grid, budget, seed,
-                         label=f"orbit-{n}")
+                         label=f"orbit-{n}", backend=backend)
         current = res.fn
-        flagged = flagged or res.flagged
         A_n = coefficients.A[n]
         vals = A_n * res.fn.grid.values
         rows.append(vals)
         ses.append(A_n * res.se)
         sups.append(float(np.max(np.abs(vals - fw_ref))))
         grids.append(current)
+        flags.append(res.flags)
     return OrbitReport(
         levels=np.arange(1, n_levels + 1), A=coefficients.A[1:n_levels + 1],
         theta_grid=grid, scaled_values=np.asarray(rows),
         scaled_se=np.asarray(ses), sup_distance=np.asarray(sups),
-        grids=grids, flagged=flagged,
+        grids=grids, flags=np.asarray(flags),
     )
 
 

@@ -186,6 +186,22 @@ def test_renorm_orbit_matches_oracle(tmp_path):
         assert np.max(np.abs(vals - expect)) < 0.01
 
 
+@pytest.mark.parametrize("backend", ["exact", "mc"])
+def test_renorm_orbit_reports_flags_per_level(tmp_path, backend):
+    text = CHEAP_RENORM_CFG.replace("depth: 1", f"depth: 2\n  backend: {backend}")
+    out = tmp_path / "o"
+    assert run(["renorm-orbit", "--config", write_cfg(tmp_path, text),
+                "--out", out, "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["backend"] == backend
+    flagged = summary["flagged_nodes"]
+    assert len(flagged) == 2
+    assert all(0 < j < 4 for level in flagged for j in level)
+    assert summary["flagged"] == any(flagged)
+    if backend == "exact":
+        assert flagged == [[], []]
+
+
 @pytest.mark.parametrize("command,cfg_text", [
     ("classify", CLUSTERING_CFG),
     ("simulate-forward", CLUSTERING_CFG),
@@ -239,6 +255,12 @@ def test_midrun_failure_leaves_no_manifest(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+# two colours, whose undeclared colour 1 would start at theta_limit = 5
+_HEAD = TWO_COLONY_CFG[:TWO_COLONY_CFG.index("  law:")]
+THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
+                    .replace("[1.0]", "[1.0, 1.0]") + "  theta_limit: 5\n")
+
+
 @pytest.mark.parametrize("command,edit,message", [
     ("simulate-forward", ("dt: 0.005", "dt: 0"), "dt must be positive"),
     ("duality-check", ("dt: 0.005", "dt: 0"), "dt must be positive"),
@@ -271,6 +293,9 @@ def test_midrun_failure_leaves_no_manifest(tmp_path):
     ("classify", ("theta_y: [0.4]", "theta_y: []"), "theta_y needs"),
     ("classify", ("g:\n    kind: fisher_wright\n    d: 1.0\n  d: 1.0",
                   "g: {kind: grid, nodes: [], values: []}"), "two nodes"),
+    ("simulate-forward", THETA_LIMIT_EDIT, "theta_limit"),
+    ("renorm-orbit", ("dt: 0.005", "depth: 1\n  backend: fast"),
+     "unknown backend 'fast'"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -350,13 +375,42 @@ def _leaves(node, path=()):
         yield path
 
 
+# cheap configs for the fuzz test: each leaf of each is replaced in turn
+ORBIT_FUZZ_CFG = """\
+model:
+  N: 4
+  levels: 1
+  family: {kind: exponential, K: 2.0, e: 1.0, c: 0.25}
+  g: {kind: fisher_wright, d: 1.0}
+run: {depth: 1, grid_size: 5, replicas: 8, burn: 1.0, sample: 2.0,
+      backend: BACKEND}
+seed: 3
+"""
+PROFILE_FUZZ_CFG = """\
+model:
+  N: 4
+  levels: 4
+  family: {kind: exponential, K: 2.0, e: 1.0, c: 0.25}
+  g: {kind: fisher_wright, d: 1.0}
+run: {depth: 4}
+"""
+FUZZ_CASES = [(command, text, leaf)
+              for command, text in [
+                  ("classify", TWO_COLONY_CFG),
+                  ("simulate-dual", TWO_COLONY_CFG),
+                  ("renorm-orbit", ORBIT_FUZZ_CFG.replace("BACKEND", "exact")),
+                  ("renorm-orbit", ORBIT_FUZZ_CFG.replace("BACKEND", "mc")),
+                  ("profile", PROFILE_FUZZ_CFG)]
+              for leaf in _leaves(yaml.safe_load(text))]
+
+
 @settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(["classify", "simulate-dual"]),
-       leaf=st.sampled_from(list(_leaves(yaml.safe_load(TWO_COLONY_CFG)))),
+@given(case=st.sampled_from(FUZZ_CASES),
        value=st.one_of(st.text(string.ascii_letters, max_size=6),
                        st.sampled_from([[], {}, None, -1, 0])))
-def test_malformed_leaf_exits_cleanly(command, leaf, value):
-    cfg = yaml.safe_load(TWO_COLONY_CFG)
+def test_malformed_leaf_exits_cleanly(case, value):
+    command, text, leaf = case
+    cfg = yaml.safe_load(text)
     node = cfg
     for key in leaf[:-1]:
         node = node[key]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hierfw import exact as X
 from hierfw import params as P
 from hierfw import renorm as R
 from hierfw.diffusion import fisher_wright, g_fw, grid_from_callable
@@ -185,6 +186,120 @@ def test_default_theta_grid_shape():
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert len(grid) == 43
     assert np.all(np.diff(grid) > 0)
+
+
+# ----------------------------------------------------------------------
+# exact backend
+# ----------------------------------------------------------------------
+
+# r = E_l c_l / e_l = 8^-l in the clustering family: the Markov chain on
+# 21/41 points serves level 0 (criterion 2's point E = c = K = e = 1), the
+# chain on 41/81 points level 1, and the averaged law levels 2 to 8
+CLUSTERING_METHODS = ["mca-21/41", "mca-41/81"] + ["averaged"] * 7
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0, 1, 21), R.default_theta_grid(41)],
+                         ids=["uniform21", "chebyshev41"])
+def test_exact_F_matches_fw_recursion(grid):
+    # F (d_l g_FW) = d_{l+1} g_FW with level-l rates, to 5e-3 relative
+    mp = clustering_params()
+    der = P.derive(mp)
+    co = P.compute_A(mp, der, 10)
+    d_seq = R.fw_recursion_oracle(1.0, 9, co)
+    interior = grid[1:-1]
+    for lvl, method in enumerate(CLUSTERING_METHODS):
+        E, c, K, e = float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl]
+        assert X.exact_method(E, c, e) == method
+        values = X.exact_F(fisher_wright(d_seq[lvl]), E, c, K, e, interior)
+        rel = np.abs(values / (d_seq[lvl + 1] * g_fw(interior)) - 1.0)
+        assert rel.max() <= 5e-3, (lvl, method, rel.max())
+
+
+def _averaged_by_trapezoid(nodes, values, lam, theta, n=200_001):
+    """The averaged law's E[g(u)] by the trapezoid rule on each half of [0,1].
+
+    Near an edge the density behaves like tau^(gamma-1), tau the distance to
+    the edge; tau = s^m / 2 with m >= 2/gamma makes the integrand regular in
+    s.  Phi is accumulated in s from u = 1/2 on both halves.  Doubles hold
+    tau down to 1e-300 only, which loses the mass of small gamma (for gamma
+    = 0.002 a fifth of it lies below); the Beta test covers that regime.
+    """
+    s = np.linspace(0.0, 1.0, n)[1:]
+    parts = []
+    # each half in its distance tau from the edge: u = tau, resp. 1 - tau
+    for dist, tau_nodes, tau_values in ((theta, nodes, values),
+                                        (1.0 - theta, 1.0 - nodes[::-1],
+                                         values[::-1])):
+        slope = tau_values[1] / tau_nodes[1]
+        m = max(4.0, 2.0 * slope / (lam * dist))
+        tau = 0.5 * s ** m
+        jac = 0.5 * m * s ** (m - 1)              # |du/ds|
+        g = np.interp(tau, tau_nodes, tau_values)
+        pos = g > 1e-300         # far below the mass for gamma >= 0.02
+        g = np.where(pos, g, 1.0)
+        f = np.where(pos, (dist - tau) / g * jac, 0.0)    # dPhi/ds
+        tail = np.concatenate([np.cumsum((0.5 * (f[1:] + f[:-1]) * np.diff(s))
+                                         [::-1])[::-1], [0.0]])
+        parts.append((s, -tail, np.where(pos, jac, 0.0), g))
+    top = max(p[1].max() for p in parts)
+    z0 = z1 = 0.0
+    for ss, phi, jac, g in parts:
+        w = np.exp(lam * (phi - top)) * jac
+        z0 += np.trapezoid(w / g, ss)
+        z1 += np.trapezoid(w, ss)
+    return z1 / z0
+
+
+@pytest.mark.parametrize("lam", [0.5, 4.0, 60.0])
+def test_averaged_grid_law_matches_quadrature(lam):
+    nodes = np.linspace(0, 1, 11)
+    for values in (0.7 * g_fw(nodes), (nodes * (1 - nodes)) ** 2):
+        for theta in (0.03, 0.5, 0.77):
+            got = X._averaged_grid(nodes, values, lam, theta)
+            ref = _averaged_by_trapezoid(nodes, values, lam, theta)
+            assert got == pytest.approx(ref, rel=1e-6)
+
+
+def test_averaged_law_of_fine_fw_table_is_beta():
+    # a 4097-node table of d x(1-x) against the Beta closed form
+    nodes = np.linspace(0, 1, 4097)
+    for lam, theta in ((0.05, 0.03), (0.3, 0.2), (8.0, 0.6)):
+        got = X._averaged_grid(nodes, 0.5 * g_fw(nodes), lam, theta)
+        beta = X._averaged_mean_g(fisher_wright(0.5), lam, theta)
+        assert got == pytest.approx(beta, rel=2e-3)
+
+
+def test_exact_F_of_zero_is_zero():
+    grid = np.linspace(0, 1, 9)
+    for E, c, K, e in ((1, 1, 1, 1), (0.01, 0.25, 4, 1)):
+        res = R.evaluate_F(fisher_wright(0.0), E, c, K, e, grid, SMALL, seed=0,
+                           backend="exact")
+        assert np.all(res.fn.grid.values == 0.0)
+        assert not res.flags.any() and np.all(res.se == 0.0)
+
+
+def test_unknown_backend_rejected():
+    with pytest.raises(ValueError, match="backend"):
+        R.evaluate_F(FW, 1, 1, 1, 1, np.linspace(0, 1, 5), SMALL, seed=0,
+                     backend="fast")
+
+
+@pytest.mark.slow
+def test_exact_F_agrees_with_mc_on_quartic_orbit():
+    # depth 1: F of the quartic at level 0; depth 2: F at level 1 of the grid
+    # iterate.  Bound: 3 MC SE plus the exact side's 5e-3 relative error.
+    mp = clustering_params()
+    der = P.derive(mp)
+    grid = np.linspace(0, 1, 11)
+    budget = R.EquilibriumBudget(n_replicas=96, burn=15, sample=60)
+    g = QUARTIC
+    for lvl in (0, 1):
+        rates = (float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl])
+        exact = R.evaluate_F(g, *rates, grid, budget, seed=0, backend="exact")
+        mc = R.evaluate_F(g, *rates, grid, budget, seed=60 + lvl)
+        gap = np.abs(exact.fn.grid.values - mc.fn.grid.values)
+        assert np.all(gap <= 3 * mc.se + 5e-3 * exact.fn.grid.values), lvl
+        g = exact.fn
 
 
 # ----------------------------------------------------------------------
