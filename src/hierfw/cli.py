@@ -54,7 +54,7 @@ def _floats(values) -> list:
 _RUN_TYPES = {"dt": float, "horizon": float, "t": float, "burn": float,
               "sample": float, "dt_factor": float, "times": _floats,
               "replicas": int, "grid_size": int, "depth": int,
-              "snapshots": bool, "backend": str}
+              "snapshots": bool}
 
 
 def _mapping(value, where: str) -> dict:
@@ -351,10 +351,10 @@ def cmd_renorm_orbit(job: Job) -> tuple:
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, min(mp.levels + 1, depth + 1))
     grid = np.linspace(0.0, 1.0, run.get("grid_size", 21))
-    backend = run.get("backend", "exact")
+    # the exact backend ignores the sampling budget, which is still checked
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth,
                                     _budget(run), job.seed, theta_grid=grid,
-                                    backend=backend)
+                                    backend="exact")
     files = [write_csv(out / "orbit.csv", "level,A_n,sup_distance",
                        orbit.csv_rows())]
     for i, level in enumerate(orbit.levels):
@@ -363,7 +363,7 @@ def cmd_renorm_orbit(job: Job) -> tuple:
                                "theta,value", rows,
                                comments=[f"level = {int(level)}",
                                          f"A_n = {_fmt(orbit.A[i])}"]))
-    summary = {"depth": depth, "backend": backend, "flagged": orbit.flagged,
+    summary = {"depth": depth, "flagged": orbit.flagged,
                "flagged_nodes": orbit.flagged_nodes(),
                "sup_distance": orbit.sup_distance.tolist(),
                "A": orbit.A.tolist()}
@@ -380,8 +380,7 @@ def cmd_interaction_chain(job: Job) -> tuple:
     coeffs = params.compute_A(mp, derived, depth + 2)
     budget = _budget(run)
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth + 1,
-                                    budget, job.seed,
-                                    backend=run.get("backend", "exact"))
+                                    budget, job.seed, backend="exact")
     g_orbit = [mp.g] + orbit.grids
     chain = renorm.sample_interaction_chain(depth, mp, derived, g_orbit,
                                             n_replicas, budget, job.seed)

@@ -64,10 +64,14 @@ def _mca_mean_g(g: DiffusionFn, E, c, K, e, theta, n) -> float:
     x moves one cell at rate (E^2 g/2 + h b_x^{+/-}) / h^2 with the drift
     b_x = E [c (theta - x) + K e (y - x)], and y one cell toward x at rate
     e |x - y| / h.  Since g vanishes at 0 and 1 no rate leaves the square.
-    The balance equations of pi, one block per x-slice, are block tridiagonal
-    with tridiagonal diagonal blocks and diagonal couplings; the state nearest
-    (theta, theta) is pinned to pi = 1 in place of its balance equation, and
-    the blocks are eliminated slice by slice with dense Schur complements.
+    The balance equations M pi = b of pi, one block per x-slice, are block
+    tridiagonal with tridiagonal diagonal blocks and diagonal couplings; the
+    state p nearest (theta, theta) is pinned to pi_p = 1 in place of its
+    balance equation, so b is the unit vector at p.  Only two sums of pi are
+    needed, f^T pi = (M^-T f)_p for f = g(x) and f = 1, so the transposed
+    system is solved for those two right-hand sides, eliminating x-slices
+    with dense Schur complements from both edges toward the slice of p: no
+    back-substitution, and one n x n block held at a time.
     """
     h = 1.0 / (n - 1)
     x = np.linspace(0.0, 1.0, n)
@@ -82,36 +86,39 @@ def _mca_mean_g(g: DiffusionFn, E, c, K, e, theta, n) -> float:
     y_up, y_down = np.maximum(by, 0.0), np.maximum(-by, 0.0)
     out = up + down + y_up + y_down
     pin = int(round(theta / h))
-    W = np.empty((n, n, n))            # W_i = S_i^-1 U_i
-    z = np.empty((n, n))               # z_i = S_i^-1 r_i
-    rhs_u = np.zeros((n, n + 1))
-    lower = np.zeros(n)
-    for i in range(n):
-        S = np.diag(-out[i]) + np.diag(y_up[i, :-1], -1) + np.diag(y_down[i, 1:], 1)
-        rhs_u.fill(0.0)
-        if i < n - 1:
-            rhs_u[:, :n][np.diag_indices(n)] = down[i + 1]
-        if i > 0:
-            lower[:] = up[i - 1]
+    # the pinned row of M takes no flow in from the neighbouring x-slices
+    if pin > 0:
+        up[pin - 1, pin] = 0.0
+    if pin < n - 1:
+        down[pin + 1, pin] = 0.0
+
+    def block(i):
+        """Diagonal block i of M^T and its right-hand sides [g(x_i), 1]."""
+        D = np.diag(-out[i]) + np.diag(y_up[i, :-1], 1) + np.diag(y_down[i, 1:], -1)
         if i == pin:
-            S[pin] = 0.0
-            S[pin, pin] = 1.0
-            rhs_u[pin, pin] = 0.0
-            rhs_u[pin, n] = 1.0
-            lower[pin] = 0.0
-        if i > 0:
-            S -= lower[:, None] * W[i - 1]
-            rhs_u[:, n] -= lower * z[i - 1]
-        sol = np.linalg.solve(S, rhs_u)
-        W[i] = sol[:, :n]
-        z[i] = sol[:, n]
-    pi_x = np.empty(n)                 # x-marginal of pi, unnormalised
-    pi = z[n - 1]
-    pi_x[n - 1] = pi.sum()
-    for i in range(n - 2, -1, -1):
-        pi = z[i] - W[i] @ pi
-        pi_x[i] = pi.sum()
-    return float(pi_x @ gx / pi_x.sum())
+            D[:, pin] = 0.0
+            D[pin, pin] = 1.0
+        return D, np.column_stack([np.full(n, gx[i]), np.ones(n)])
+
+    def eliminate(slices, step, into, back):
+        """Schur block and right-hand sides that eliminating ``slices`` in
+        order leaves on the pinned slice.  Slice i moves to its neighbour
+        i + step at rates into[i] and back at rates back[i + step]; M^T couples
+        slice i to the neighbour through diag(into[i]) and the neighbour to i
+        through diag(back[i + step])."""
+        T, R = np.zeros((n, n)), np.zeros((n, 2))
+        for i in slices:
+            D, C = block(i)
+            X = np.linalg.solve(D - T, np.column_stack([np.diag(into[i]), C - R]))
+            lower = back[i + step][:, None]
+            T, R = lower * X[:, :n], lower * X[:, n:]
+        return T, R
+
+    T_lo, R_lo = eliminate(range(pin), 1, up, down)
+    T_hi, R_hi = eliminate(range(n - 1, pin, -1), -1, down, up)
+    D, C = block(pin)
+    w = np.linalg.solve(D - T_lo - T_hi, C - R_lo - R_hi)[pin]
+    return float(w[0] / w[1])
 
 
 def _averaged_mean_g(g: DiffusionFn, lam: float, theta: float) -> float:

@@ -23,7 +23,7 @@ Sampled equilibrium moments are long-run time averages over independent
 replicas (with a split-half stationarity check); an endpoint mode returning
 one independent draw per replica drives the interaction chain.
 
-The map F itself is computed without sampling by default in the CLI
+The CLI computes the map F itself without sampling
 (``backend="exact"`` of ``evaluate_F``, see ``hierfw.exact``): where
 r = E c / e >= 1/32, by a Richardson-extrapolated upwind Markov chain on an
 (x, y) grid; below, by the averaged one-dimensional law of the weighted

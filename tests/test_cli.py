@@ -163,10 +163,9 @@ def test_profile_runs(tmp_path):
 
 @pytest.mark.slow
 def test_renorm_orbit_matches_oracle(tmp_path):
-    text = CLUSTERING_CFG + "run2: null\n"
     text = CLUSTERING_CFG.replace(
         "run:\n  horizon: 1.0\n  times: [0.0, 0.5, 1.0]",
-        "run:\n  depth: 2\n  grid_size: 9\n  replicas: 96\n  sample: 60.0")
+        "run:\n  depth: 2\n  grid_size: 9")
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
     assert run(["renorm-orbit", "--config", cfg, "--out", out, "--quiet"]) == 0
@@ -186,20 +185,15 @@ def test_renorm_orbit_matches_oracle(tmp_path):
         assert np.max(np.abs(vals - expect)) < 0.01
 
 
-@pytest.mark.parametrize("backend", ["exact", "mc"])
-def test_renorm_orbit_reports_flags_per_level(tmp_path, backend):
-    text = CHEAP_RENORM_CFG.replace("depth: 1", f"depth: 2\n  backend: {backend}")
+def test_renorm_orbit_reports_flags_per_level(tmp_path):
+    text = CHEAP_RENORM_CFG.replace("depth: 1", "depth: 2")
     out = tmp_path / "o"
     assert run(["renorm-orbit", "--config", write_cfg(tmp_path, text),
                 "--out", out, "--quiet"]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["backend"] == backend
-    flagged = summary["flagged_nodes"]
-    assert len(flagged) == 2
-    assert all(0 < j < 4 for level in flagged for j in level)
-    assert summary["flagged"] == any(flagged)
-    if backend == "exact":
-        assert flagged == [[], []]
+    # the orbit is computed without sampling, so no node is flagged
+    assert summary["flagged_nodes"] == [[], []]
+    assert summary["flagged"] is False
 
 
 @pytest.mark.parametrize("command,cfg_text", [
@@ -294,8 +288,6 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("classify", ("g:\n    kind: fisher_wright\n    d: 1.0\n  d: 1.0",
                   "g: {kind: grid, nodes: [], values: []}"), "two nodes"),
     ("simulate-forward", THETA_LIMIT_EDIT, "theta_limit"),
-    ("renorm-orbit", ("dt: 0.005", "depth: 1\n  backend: fast"),
-     "unknown backend 'fast'"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -382,8 +374,7 @@ model:
   levels: 1
   family: {kind: exponential, K: 2.0, e: 1.0, c: 0.25}
   g: {kind: fisher_wright, d: 1.0}
-run: {depth: 1, grid_size: 5, replicas: 8, burn: 1.0, sample: 2.0,
-      backend: BACKEND}
+run: {depth: 1, grid_size: 5, replicas: 8, burn: 1.0, sample: 2.0}
 seed: 3
 """
 PROFILE_FUZZ_CFG = """\
@@ -398,13 +389,16 @@ FUZZ_CASES = [(command, text, leaf)
               for command, text in [
                   ("classify", TWO_COLONY_CFG),
                   ("simulate-dual", TWO_COLONY_CFG),
-                  ("renorm-orbit", ORBIT_FUZZ_CFG.replace("BACKEND", "exact")),
-                  ("renorm-orbit", ORBIT_FUZZ_CFG.replace("BACKEND", "mc")),
+                  ("renorm-orbit", ORBIT_FUZZ_CFG),
                   ("profile", PROFILE_FUZZ_CFG)]
               for leaf in _leaves(yaml.safe_load(text))]
+TWO_COLONY_CASES = 2 * len(list(_leaves(yaml.safe_load(TWO_COLONY_CFG))))
 
 
-@settings(max_examples=150, deadline=None)
+# 150 examples over the classify and simulate-dual cases, as many per case
+# over the others
+@settings(max_examples=150 * len(FUZZ_CASES) // TWO_COLONY_CASES,
+          deadline=None)
 @given(case=st.sampled_from(FUZZ_CASES),
        value=st.one_of(st.text(string.ascii_letters, max_size=6),
                        st.sampled_from([[], {}, None, -1, 0])))

@@ -284,6 +284,23 @@ def test_unknown_backend_rejected():
                      backend="fast")
 
 
+def test_mc_orbit_keeps_flags_per_level_and_node():
+    # replicas started at theta and sampled at once have not spread to their
+    # equilibrium variance, so interior nodes are flagged; the endpoints are
+    # pinned, never sampled, and never flagged
+    mp = clustering_params(levels=2)
+    der = P.derive(mp)
+    co = P.compute_A(mp, der, 3)
+    budget = R.EquilibriumBudget(n_replicas=64, burn=0.0, sample=0.01, stride=1)
+    orbit = R.iterate_F_scaled(FW, mp, der, co, 2, budget, seed=6,
+                               theta_grid=np.linspace(0, 1, 5))
+    assert orbit.flags.shape == (2, 5)
+    assert orbit.flagged
+    nodes = orbit.flagged_nodes()
+    assert len(nodes) == 2 and any(nodes)
+    assert all(0 < j < 4 for level in nodes for j in level)
+
+
 @pytest.mark.slow
 def test_exact_F_agrees_with_mc_on_quartic_orbit():
     # depth 1: F of the quartic at level 0; depth 2: F at level 1 of the grid
