@@ -134,6 +134,7 @@ def build_model(cfg: dict) -> params.ModelParams:
     A missing, unreadable or invalid value raises ConfigError.
     """
     m, init_cfg = cfg["model"], cfg.get("init")
+    block = "init"                      # the block an error is reported in
     try:
         init = None
         if init_cfg:
@@ -148,6 +149,7 @@ def build_model(cfg: dict) -> params.ModelParams:
                 theta_limit=None if init_cfg.get("theta_limit") is None
                 else _read(float, init_cfg["theta_limit"], "init.theta_limit"),
             )
+        block = "model"
         g = _build_g(m.get("g"))
         if m.get("d") is not None and float(m["d"]) != g.d:
             # the dual coalesces at g's own rate; model.d only restates it
@@ -165,7 +167,7 @@ def build_model(cfg: dict) -> params.ModelParams:
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model block: {exc}") from exc
+        raise ConfigError(f"invalid {block} block: {exc}") from exc
 
 
 def _lineages(block: dict, mp: params.ModelParams) -> dict:

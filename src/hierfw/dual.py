@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import rng as rngmod
 from .forward import (SizeError, SystemState, _mean_se, ensemble_reduce,
@@ -288,6 +287,7 @@ def _count_chain(params: ModelParams, z: SystemState,
 def exact_dual_moment(params: ModelParams, z: SystemState, cfg0: DualConfig,
                       t: float) -> float:
     """E[H(z, L(t))] by exponentiating the count-CTMC generator."""
+    from scipy.linalg import expm  # scipy.linalg loads on first use
     if t < 0:
         raise ValueError("t must be non-negative")
     Q, start, H = _count_chain(params, z, cfg0)

@@ -19,10 +19,10 @@ never evaluate F exactly do not pay for compiling it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaln, hyp1f1, logsumexp
 
 from .diffusion import DiffusionFn
 
@@ -151,10 +151,24 @@ def _phi_step(p, q, g_p, g_q, theta):
 
 def _log_kummer1(b, x):
     """log M(1, b, x) for b > 1, x >= 0."""
+    from scipy.special import gammainc, gammaln, hyp1f1  # scipy.special loads on first use
     if x < b:
         return math.log(hyp1f1(1.0, b, x))
     return (math.log(b - 1.0) + x + (1.0 - b) * math.log(x) + gammaln(b - 1.0)
             + math.log(gammainc(b - 1.0, x)))
+
+
+@functools.cache
+def _gauss_legendre():
+    """The 10-point Gauss-Legendre rule on [-1, 1], read-only.
+
+    Computed on first use, not at import: leggauss's eigensolver costs a
+    process that only runs the chain another ~0.7 MiB of peak RSS.
+    """
+    rule = np.polynomial.legendre.leggauss(10)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def _averaged_grid(nodes, vals, lam, theta) -> float:
@@ -167,6 +181,7 @@ def _averaged_grid(nodes, vals, lam, theta) -> float:
     Kummer's function; interior segments are smooth and take Gauss-Legendre
     panels, enough of them to resolve lam Phi.
     """
+    from scipy.special import logsumexp  # scipy.special loads on first use
     k = min(max(int(np.searchsorted(nodes, theta, side="right")) - 1, 0),
             len(nodes) - 2)
     g_theta = float(np.interp(theta, nodes, vals))
@@ -184,9 +199,7 @@ def _averaged_grid(nodes, vals, lam, theta) -> float:
         prev_g = np.concatenate([[g_theta], vals[side[:-1]]])
         steps = _phi_step(prev_t, nodes[side], prev_g, vals[side], theta)
         psi[side] = lam * np.cumsum(steps)
-    # here, not at import: leggauss's eigensolver costs a process that only
-    # runs the chain another ~0.7 MiB of peak RSS
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(10)
+    gl_nodes, gl_weights = _gauss_legendre()
     log_z0, log_z1 = [], []             # log int p, log int g p per piece
     for edge, p in ((left, left + 1), (right, right - 1)):
         depth = abs(nodes[p] - nodes[edge])

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import hiergeo, rng as rngmod
 from .params import InitSpec, ModelParams
@@ -458,6 +457,7 @@ def first_moment_oracle(params: ModelParams, state: SystemState,
     dual lineage, so exp(Q t) applied to the flattened state is an exact
     oracle for forward ensemble means.
     """
+    from scipy.linalg import expm  # scipy.linalg loads on first use
     C, M = params.n_colonies, params.levels + 1
     Q = lineage_generator(params)
     z0 = np.concatenate([state.x, state.y.reshape(M * C)])

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 class ParameterError(ValueError):
@@ -144,6 +143,7 @@ def build_expansion(spec: KernelSpec) -> KernelExpansion:
     Worked in log space: for deep truncations the unnormalised weights span
     hundreds of orders of magnitude.
     """
+    from scipy.special import logsumexp  # scipy.special loads on first use
     N, L = spec.N, spec.truncation
     logN = np.log(N)
     logc = np.log(np.asarray(spec.c, dtype=float))
@@ -195,6 +195,7 @@ def log_return_probability(log_t: np.ndarray, exp_: KernelExpansion,
     (h_L * t > ``guard``) at the largest requested time, since then the
     truncated expansion is missing decaying mass it cannot represent.
     """
+    from scipy.special import logsumexp  # scipy.special loads on first use
     log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
     N, L = exp_.N, exp_.levels
     if np.exp(exp_.log_h[-1] + log_t.max()) > guard:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import zeta
 
 from . import hiergeo
 from .diffusion import DiffusionFn
@@ -95,6 +94,7 @@ class PolynomialFamily:
     def rho(self) -> tuple:
         if self.alpha <= 1:
             return math.inf, True
+        from scipy.special import zeta  # scipy.special loads on first use
         return self.A * float(zeta(self.alpha)), False
 
 

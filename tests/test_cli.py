@@ -6,8 +6,11 @@ import io
 import json
 import math
 import platform
+import os
 import re
 import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -288,6 +291,8 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("classify", ("g:\n    kind: fisher_wright\n    d: 1.0\n  d: 1.0",
                   "g: {kind: grid, nodes: [], values: []}"), "two nodes"),
     ("simulate-forward", THETA_LIMIT_EDIT, "theta_limit"),
+    ("simulate-forward", ("law: deterministic", "law: deterministic\n  theta_limit: abc"),
+     "invalid init block"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -304,6 +309,43 @@ def test_version_matches_pyproject():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     version = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
     assert hierfw.__version__ == version
+
+
+# runs each (command, config, out) triple of argv in one process, then prints
+# the scipy.linalg and scipy.special modules that process has loaded
+_IMPORT_PROBE = """\
+import json, sys
+from hierfw import cli
+for command, cfg, out in zip(*[iter(sys.argv[1:])] * 3):
+    assert cli.main([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("scipy.linalg", "scipy.special")))))
+"""
+
+
+@pytest.mark.parametrize("runs,loads", [
+    # the forward engine and a chain-only orbit (levels 0 and 1) call no scipy
+    ([("simulate-forward", TWO_COLONY_CFG), ("renorm-orbit", CHEAP_RENORM_CFG)],
+     set()),
+    # the exact oracles still import what they call
+    ([("duality-check", TWO_COLONY_CFG.replace("replicas: 4000", "replicas: 200"))],
+     {"scipy.linalg"}),
+    ([("classify", CLUSTERING_CFG)], {"scipy.special"}),
+])
+def test_scipy_submodules_load_on_first_use(tmp_path, runs, loads):
+    argv = []
+    for i, (command, text) in enumerate(runs):
+        argv += [command, write_cfg(tmp_path, text, name=f"cfg{i}.yaml"),
+                 tmp_path / f"o{i}"]
+    src = str(Path(hierfw.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *map(str, argv)],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert loads <= loaded
+    if not loads:
+        assert not loaded, loaded
 
 
 def test_accuracy_error_exits_one(tmp_path, capsys, monkeypatch):
