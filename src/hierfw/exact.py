@@ -151,7 +151,8 @@ def _phi_step(p, q, g_p, g_q, theta):
 
 def _log_kummer1(b, x):
     """log M(1, b, x) for b > 1, x >= 0."""
-    from scipy.special import gammainc, gammaln, hyp1f1  # scipy.special loads on first use
+    # scipy.special loads on first use
+    from scipy.special import gammainc, gammaln, hyp1f1
     if x < b:
         return math.log(hyp1f1(1.0, b, x))
     return (math.log(b - 1.0) + x + (1.0 - b) * math.log(x) + gammaln(b - 1.0)

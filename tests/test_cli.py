@@ -5,8 +5,8 @@ import hashlib
 import io
 import json
 import math
-import platform
 import os
+import platform
 import re
 import string
 import subprocess
@@ -291,7 +291,8 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("classify", ("g:\n    kind: fisher_wright\n    d: 1.0\n  d: 1.0",
                   "g: {kind: grid, nodes: [], values: []}"), "two nodes"),
     ("simulate-forward", THETA_LIMIT_EDIT, "theta_limit"),
-    ("simulate-forward", ("law: deterministic", "law: deterministic\n  theta_limit: abc"),
+    ("simulate-forward", ("law: deterministic",
+                          "law: deterministic\n  theta_limit: abc"),
      "invalid init block"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
