@@ -38,11 +38,10 @@ if __name__ == "__main__":
     for name, fam, N in CASES:
         mp = params.ModelParams.from_family(N=N, levels=4, family=fam,
                                             g=fisher_wright(1.0))
-        rep = params.classify_regime(mp)
-        v = params.clustering_verdict(mp, rep)
+        rep = params.classify(mp)
         co = params.compute_A(mp, params.derive(mp), 5)
         if rep.rho_infinite:
-            hazard = params.hazard_diagnostic(mp, rep)
+            hazard = params.hazard_diagnostic(mp)
         else:
             hazard = "(finite seed-bank)"
-        print(f"{name:18s} {v:9s} {co.asymptotic.label:20s} {hazard}")
+        print(f"{name:18s} {rep.clustering:9s} {co.asymptotic.label:20s} {hazard}")

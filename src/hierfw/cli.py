@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,17 +45,47 @@ _DUAL_KEYS = {"actives", "dormants"}
 _TOP_KEYS = {"model", "init", "run", "dual", "seed", "out"}
 
 
+def _number(value) -> float:
+    """A finite number.  A string reads as float() reads it, which covers
+    the exponent forms (1e-3) that PyYAML leaves as strings; a bool raises."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, found {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, found {value!r}")
+    return number
+
+
+def _integer(value) -> int:
+    """An integral number; a bool, a fraction, inf or nan raises."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, found {value!r}")
+    return int(number)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, found {value!r}")
+    return value
+
+
 def _floats(values) -> list:
     if not isinstance(values, list):
         raise TypeError("expected a list")
-    return [float(v) for v in values]
+    return [_number(v) for v in values]
 
 
 # the type each run value is read as; a null value reads as absent
-_RUN_TYPES = {"dt": float, "horizon": float, "t": float, "burn": float,
-              "sample": float, "dt_factor": float, "times": _floats,
-              "replicas": int, "grid_size": int, "depth": int,
-              "snapshots": bool}
+_RUN_TYPES = {"dt": _number, "horizon": _number, "t": _number,
+              "burn": _number, "sample": _number, "dt_factor": _number,
+              "times": _floats, "replicas": _integer, "grid_size": _integer,
+              "depth": _integer, "snapshots": _flag}
 
 
 def _mapping(value, where: str) -> dict:
@@ -106,11 +137,11 @@ def _build_g(spec) -> DiffusionFn:
     spec = _mapping(spec, "model.g")
     kind = spec.get("kind", "fisher_wright")
     if kind == "fisher_wright":
-        return fisher_wright(float(spec.get("d", 1.0)))
+        return fisher_wright(_number(spec.get("d", 1.0)))
     if kind == "grid":
         return DiffusionFn(kind="grid", grid=GridFunction(
-            np.asarray(spec["nodes"], dtype=float),
-            np.asarray(spec["values"], dtype=float)))
+            np.asarray(_floats(spec["nodes"])),
+            np.asarray(_floats(spec["values"]))))
     raise ConfigError(f"unknown diffusion kind {kind!r}")
 
 
@@ -118,13 +149,13 @@ def _build_family(spec):
     spec = _mapping(spec, "model.family")
     kind = spec.get("kind")
     if kind == "exponential":
-        return params.ExponentialFamily(K=float(spec["K"]), e=float(spec["e"]),
-                                        c=float(spec["c"]))
+        return params.ExponentialFamily(
+            K=_number(spec["K"]), e=_number(spec["e"]), c=_number(spec["c"]))
     if kind == "polynomial":
         return params.PolynomialFamily(
-            alpha=float(spec["alpha"]), beta=float(spec["beta"]),
-            phi=float(spec["phi"]), A=float(spec.get("A", 1.0)),
-            B=float(spec.get("B", 1.0)), F=float(spec.get("F", 1.0)))
+            alpha=_number(spec["alpha"]), beta=_number(spec["beta"]),
+            phi=_number(spec["phi"]), A=_number(spec.get("A", 1.0)),
+            B=_number(spec.get("B", 1.0)), F=_number(spec.get("F", 1.0)))
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -142,28 +173,28 @@ def build_model(cfg: dict) -> params.ModelParams:
             if not isinstance(theta_y, (list, tuple)):
                 theta_y = [theta_y]
             init = params.InitSpec(
-                theta_x=float(init_cfg["theta_x"]),
-                theta_y=tuple(float(t) for t in theta_y),
+                theta_x=_number(init_cfg["theta_x"]),
+                theta_y=tuple(_number(t) for t in theta_y),
                 law=init_cfg.get("law", "deterministic"),
-                concentration=float(init_cfg.get("concentration", 2.0)),
+                concentration=_number(init_cfg.get("concentration", 2.0)),
                 theta_limit=None if init_cfg.get("theta_limit") is None
-                else _read(float, init_cfg["theta_limit"], "init.theta_limit"),
+                else _read(_number, init_cfg["theta_limit"], "init.theta_limit"),
             )
         block = "model"
         g = _build_g(m.get("g"))
-        if m.get("d") is not None and float(m["d"]) != g.d:
+        if m.get("d") is not None and _number(m["d"]) != g.d:
             # the dual coalesces at g's own rate; model.d only restates it
             found = f"g.d = {g.d}" if g.is_fisher_wright else "a grid g"
             raise ConfigError(f"model.d = {m['d']} must equal the rate d of "
                               f"a Fisher-Wright g, found {found}")
-        common = dict(N=int(m["N"]), levels=int(m["levels"]), g=g, init=init)
+        common = dict(N=_integer(m["N"]), levels=_integer(m["levels"]), g=g,
+                      init=init)
         if "family" in m:
             fam = _build_family(m["family"])
             return params.ModelParams.from_family(family=fam, **common)
         return params.ModelParams(
-            c=tuple(float(v) for v in m["c"]),
-            e=tuple(float(v) for v in m["e"]),
-            K=tuple(float(v) for v in m["K"]), **common)
+            c=tuple(_floats(m["c"])), e=tuple(_floats(m["e"])),
+            K=tuple(_floats(m["K"])), **common)
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -176,12 +207,13 @@ def _lineages(block: dict, mp: params.ModelParams) -> dict:
     actives = _mapping(block.get("actives"), "dual.actives")
     dormants = _mapping(block.get("dormants"), "dual.dormants")
     try:
-        counts = {(0, int(site)): int(n) for site, n in actives.items()}
+        counts = {(0, _integer(site)): _integer(n)
+                  for site, n in actives.items()}
         for key, n in dormants.items():
-            colour, site = (int(v) for v in str(key).split(":"))
+            colour, site = (_integer(v) for v in str(key).split(":"))
             if not 0 <= colour <= mp.levels:
                 raise ValueError(f"colour {colour} outside 0..{mp.levels}")
-            counts[colour + 1, site] = int(n)
+            counts[colour + 1, site] = _integer(n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid dual block: {exc}") from exc
     for _, site in counts:
@@ -216,6 +248,12 @@ def _fmt(value) -> str:
 def _write_text(path: Path, text: str) -> Path:
     path.write_text(text)
     return path
+
+
+def _key_values(pairs) -> str:
+    """One ``key = value`` line per pair: the .txt reports and the summary
+    printed after a run."""
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
 def write_csv(path: Path, header: str, rows, comments=()) -> Path:
@@ -262,21 +300,21 @@ def write_manifest(outdir: Path, raw_config: bytes, seed: int, files):
 
 def cmd_classify(job: Job) -> tuple:
     mp, out = job.model, job.outdir
-    report = params.classify(mp)
+    report = params.classify(mp).as_dict()
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, mp.levels + 1)
     rows = params.coefficient_rows(coeffs, range(mp.levels + 2))
     spec = mp.kernel_spec()
     expansion = hiergeo.build_expansion(spec)
     files = [
-        write_json(out / "regime_report.json", report.as_dict()),
-        _write_text(out / "regime_report.txt", report.as_text()),
+        write_json(out / "regime_report.json", report),
+        _write_text(out / "regime_report.txt", _key_values(report.items())),
         write_csv(out / "coefficients.csv", "n,A_n,predicted_asymptote", rows,
                   comments=[f"asymptotic_class = {coeffs.asymptotic.label}"]),
         write_csv(out / "kernel.csv", "level,c_k,r_k,h_k",
                   hiergeo.kernel_table_rows(spec, expansion)),
     ]
-    return {"clustering": report.clustering, "gamma": report.gamma}, files
+    return {"clustering": report["clustering"], "gamma": report["gamma"]}, files
 
 
 def cmd_simulate_forward(job: Job) -> tuple:
@@ -336,9 +374,10 @@ def cmd_duality_check(job: Job) -> tuple:
     report = dual.duality_estimate(mp, z, _dual_config(job), run.get("t", 1.0),
                                    run.get("replicas", 10_000), job.seed,
                                    dt=run.get("dt"))
-    return report.as_dict(), [
-        write_json(job.outdir / "duality.json", report.as_dict()),
-        _write_text(job.outdir / "duality.txt", report.as_text())]
+    summary = report.as_dict()
+    return summary, [
+        write_json(job.outdir / "duality.json", summary),
+        _write_text(job.outdir / "duality.txt", _key_values(summary.items()))]
 
 
 def _budget(run: dict) -> renorm.EquilibriumBudget:
@@ -444,7 +483,7 @@ def main(argv=None) -> int:
         # an earlier run's manifest would vouch for this run's debris
         (outdir / "manifest.json").unlink(missing_ok=True)
         seed = (args.seed if args.seed is not None
-                else _read(int, cfg.get("seed", 0), "seed"))
+                else _read(_integer, cfg.get("seed", 0), "seed"))
         mp = build_model(cfg)
         run = {key: _read(_RUN_TYPES[key], value, f"run.{key}")
                for key, value in cfg["run"].items() if value is not None}
@@ -458,8 +497,7 @@ def main(argv=None) -> int:
         print("error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 1
     if not args.quiet:
-        for key, val in sorted(summary.items()):
-            print(f"{key} = {val}")
+        sys.stdout.write(_key_values(sorted(summary.items())))
     return 0
 
 

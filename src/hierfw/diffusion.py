@@ -8,7 +8,7 @@ evaluated on grids, and its iterates are stored this way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,17 +52,14 @@ class DiffusionFn:
     kind: str                       # "fisher_wright" | "grid"
     d: Optional[float] = None
     grid: Optional[GridFunction] = None
-    lipschitz_bound: float = field(default=0.0)
 
     def __post_init__(self):
         if self.kind == "fisher_wright":
             if self.d is None or not self.d >= 0:
                 raise ValueError("fisher_wright needs a rate d >= 0")
-            object.__setattr__(self, "lipschitz_bound", self.d)
         elif self.kind == "grid":
             if self.grid is None:
                 raise ValueError("grid kind needs a GridFunction")
-            object.__setattr__(self, "lipschitz_bound", self.grid.lipschitz())
         else:
             raise ValueError(f"unknown diffusion kind {self.kind!r}")
 
@@ -75,6 +72,10 @@ class DiffusionFn:
     def is_fisher_wright(self) -> bool:
         return self.kind == "fisher_wright"
 
+    @property
+    def lipschitz_bound(self) -> float:
+        return self.d if self.is_fisher_wright else self.grid.lipschitz()
+
 
 def fisher_wright(d: float = 1.0) -> DiffusionFn:
     return DiffusionFn(kind="fisher_wright", d=d)
@@ -86,9 +87,9 @@ def g_fw(x):
     return x * (1.0 - x)
 
 
-def grid_from_callable(f: Callable, n_nodes: int = 129) -> DiffusionFn:
-    """Tabulate f on a uniform grid; endpoint values are forced to zero."""
-    nodes = np.linspace(0.0, 1.0, n_nodes)
+def grid_from_callable(f: Callable) -> DiffusionFn:
+    """Tabulate f on 129 uniform nodes; endpoint values are forced to zero."""
+    nodes = np.linspace(0.0, 1.0, 129)
     values = np.asarray(f(nodes), dtype=float).copy()
     values[0] = 0.0
     values[-1] = 0.0

@@ -29,7 +29,7 @@ import numpy as np
 from . import rng as rngmod
 from .forward import (SizeError, SystemState, _mean_se, ensemble_reduce,
                       lineage_generator)
-from .params import DerivedParams, ModelParams, derive, wakeup_sampler
+from .params import ModelParams, derive, wakeup_sampler
 
 
 class DualityError(ValueError):
@@ -215,17 +215,17 @@ def _pick(weights, u: float) -> int:
 # ----------------------------------------------------------------------
 
 
-def enumerate_count_states(params: ModelParams, n_max: int,
-                           cap: int = 5000) -> list:
-    """All occupation-count configurations with 1 <= total <= n_max."""
+def enumerate_count_states(params: ModelParams, n_max: int) -> list:
+    """All occupation-count configurations with 1 <= total <= n_max;
+    SizeError beyond 5000 of them."""
     C, M = params.n_colonies, params.levels + 1
     n_sites = C * (M + 1)
     states = []
     for n in range(1, n_max + 1):
         for combo in itertools.combinations_with_replacement(range(n_sites), n):
             states.append(np.bincount(combo, minlength=n_sites).reshape(M + 1, C))
-            if len(states) > cap:
-                raise SizeError(f"count-state space exceeds {cap}")
+            if len(states) > 5000:
+                raise SizeError("count-state space exceeds 5000")
     return states
 
 
@@ -371,17 +371,15 @@ class DualityReport:
     def combined_se(self) -> float:
         return math.hypot(self.lhs_se, self.rhs_se)
 
-    def passes(self, n_sigma: float = 3.0) -> bool:
-        return self.gap <= n_sigma * self.combined_se + 1e-12
+    def passes(self) -> bool:
+        """The two sides agree within 3 combined standard errors."""
+        return self.gap <= 3.0 * self.combined_se + 1e-12
 
     def as_dict(self) -> dict:
         return {"lhs": self.lhs, "lhs_se": self.lhs_se, "rhs": self.rhs,
                 "rhs_se": self.rhs_se, "exact_rhs": self.exact_rhs,
                 "t": self.t, "replicas": self.replicas, "gap": self.gap,
                 "combined_se": self.combined_se, "pass_3se": self.passes()}
-
-    def as_text(self) -> str:
-        return "\n".join(f"{k} = {v}" for k, v in self.as_dict().items()) + "\n"
 
 
 def duality_estimate(params: ModelParams, z: SystemState, cfg0: DualConfig,
@@ -419,10 +417,9 @@ def duality_estimate(params: ModelParams, z: SystemState, cfg0: DualConfig,
 # ----------------------------------------------------------------------
 
 
-def renewal_sample(params: ModelParams, n: int, rng,
-                   derived: Optional[DerivedParams] = None) -> RenewalSample:
+def renewal_sample(params: ModelParams, n: int, rng) -> RenewalSample:
     """n activity/dormancy cycles of one dual lineage."""
-    derived = derived or derive(params)
+    derived = derive(params)
     sigma = rng.exponential(1.0 / derived.chi, size=n)
     tau = wakeup_sampler(params, derived, rng, n=n)
     return RenewalSample(sigma=sigma, tau=tau)
@@ -431,15 +428,13 @@ def renewal_sample(params: ModelParams, n: int, rng,
 @dataclass(frozen=True)
 class TailFit:
     gamma: float
-    k_used: int
-    drift: float              # relative drift of the Hill estimate across k
     power_law_plausible: bool
 
 
-def tail_fit(sample: RenewalSample, k_frac: float = 0.01) -> TailFit:
+def tail_fit(sample: RenewalSample) -> TailFit:
     """Hill estimate of the tail exponent of P(tau > t).
 
-    Uses the top ``k_frac`` order statistics.  The estimate is recomputed at
+    Uses the top 1% of the order statistics.  The estimate is recomputed at
     k/4; a strong drift between the two marks the sample as inconsistent
     with a power tail (e.g. a single exponential colour).
     """
@@ -447,7 +442,7 @@ def tail_fit(sample: RenewalSample, k_frac: float = 0.01) -> TailFit:
     n = len(tau)
     if n < 10_000:
         raise ValueError("tail fit needs at least 1e4 samples")
-    k = max(int(n * k_frac), 100)
+    k = max(int(n * 0.01), 100)
     logs = np.log(tau[-k:])
     gamma_k = 1.0 / float(np.mean(logs - math.log(tau[-k - 1])))
     k4 = k // 4
@@ -456,5 +451,4 @@ def tail_fit(sample: RenewalSample, k_frac: float = 0.01) -> TailFit:
     drift = abs(math.log(gamma_k4 / gamma_k))
     # a genuine power tail gives a k-stable Hill estimate (drift ~ 0.05 at
     # these sample sizes); an exponential tail drifts by ~ log(1 + log4 / log(n/k))
-    return TailFit(gamma=gamma_k, k_used=k, drift=drift,
-                   power_law_plausible=drift < 0.15)
+    return TailFit(gamma=gamma_k, power_law_plausible=drift < 0.15)

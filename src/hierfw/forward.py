@@ -142,9 +142,9 @@ def _total_rate(params: ModelParams) -> float:
             + params.g.lipschitz_bound)
 
 
-def default_dt(params: ModelParams, target: float = 0.1) -> float:
-    """dt with dt * _total_rate(params) <= ``target``."""
-    return target / _total_rate(params)
+def default_dt(params: ModelParams) -> float:
+    """dt with dt * _total_rate(params) = 0.1."""
+    return 0.1 / _total_rate(params)
 
 
 def _run_means(a: np.ndarray, N: int) -> np.ndarray:
@@ -257,7 +257,6 @@ def estimator_arrays(x: np.ndarray, y: np.ndarray, K: np.ndarray,
 @dataclass(frozen=True)
 class RecordPlan:
     times: Sequence[float]
-    levels: Optional[Sequence[int]] = None   # default: 0 .. levels+1
     snapshots: bool = False
 
 
@@ -317,15 +316,12 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
     ctx = _StepContext(params, dt)
     rng = rngmod.stream(seed, "forward", replica)
     x, y = initial_arrays(params, init, rng, width=1)
-    levels = np.asarray(plan.levels if plan.levels is not None
-                        else range(params.levels + 2))
     K = np.asarray(params.K, dtype=float)
     steps_at = _record_steps(plan.times, dt)
     if any(s * dt > horizon * (1 + 1e-9) + dt for s in steps_at):
         raise ValueError("record times must lie in [0, horizon]")
-    T, L, M, C = len(steps_at), len(levels), params.levels + 1, params.n_colonies
-    top = params.levels + 1
-    needed = {int(l) for l in levels} | {top}
+    M, C = params.levels + 1, params.n_colonies
+    T, L = len(steps_at), M + 1      # levels 0 .. M; level M is the whole system
     theta_bar, theta_x = np.empty((T, L)), np.empty((T, L))
     theta_y, grand_mean = np.empty((T, L, M)), np.empty(T)
     snapshots_x = np.empty((T, C)) if plan.snapshots else None
@@ -335,16 +331,16 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
     for i, target in enumerate(steps_at):
         clips += _advance(x, y, target - done, ctx, rng)
         done = target
-        est = {l: estimator_arrays(x[0], y[0], K, l, params.N) for l in needed}
-        for j, l in enumerate(levels):
-            theta_bar[i, j], theta_x[i, j], theta_y[i, j] = est[int(l)]
-        grand_mean[i] = est[top][0]
+        for l in range(L):
+            theta_bar[i, l], theta_x[i, l], theta_y[i, l] = estimator_arrays(
+                x[0], y[0], K, l, params.N)
+        grand_mean[i] = theta_bar[i, -1]
         if plan.snapshots:
             snapshots_x[i] = x[0]
             snapshots_y[i] = y[0]
     clip_fraction = clips / (max(done, 1) * C)
     return TrajectoryRecord(
-        times=np.asarray(steps_at, dtype=float) * dt, levels=levels,
+        times=np.asarray(steps_at, dtype=float) * dt, levels=np.arange(L),
         theta_bar=theta_bar, theta_x=theta_x, theta_y=theta_y, grand_mean=grand_mean,
         clip_fraction=clip_fraction, flagged=clip_fraction > 0.01,
         snapshots_x=snapshots_x, snapshots_y=snapshots_y)

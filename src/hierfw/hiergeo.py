@@ -160,13 +160,13 @@ def build_expansion(spec: KernelSpec) -> KernelExpansion:
     return KernelExpansion(N=N, r=r, h=h, log_h=np.log(h))
 
 
-def transition_kernel(t: float, target_level: int, exp_: KernelExpansion,
-                      tol: float = 1e-12) -> float:
+def transition_kernel(t: float, target_level: int,
+                      exp_: KernelExpansion) -> float:
     """Time-t probability a_t(0, eta) for any eta at distance ``target_level``.
 
     Time is measured in units of one expected jump of the normalised walk.
     Raises AccuracyError when the stored truncation cannot bound the
-    neglected tail below ``tol``.
+    neglected tail below 1e-12.
     """
     if t < 0:
         raise ParameterError("time must be non-negative")
@@ -174,9 +174,9 @@ def transition_kernel(t: float, target_level: int, exp_: KernelExpansion,
     if k > L:
         raise ParameterError("target level beyond stored truncation")
     remainder = float(N) ** (-L)  # 0 <= neglected tail <= N^-L
-    if remainder > tol:
+    if remainder > 1e-12:
         raise AccuracyError(
-            f"truncation {L} leaves tail bound {remainder:.3e} > tol {tol:.3e}"
+            f"truncation {L} leaves tail bound {remainder:.3e} > 1e-12"
         )
     j = np.arange(max(k, 1), L + 1)
     weights = np.full(j.shape, float(N - 1))
@@ -186,19 +186,19 @@ def transition_kernel(t: float, target_level: int, exp_: KernelExpansion,
     return float(np.sum(terms))
 
 
-def log_return_probability(log_t: np.ndarray, exp_: KernelExpansion,
-                           guard: float = 0.1) -> np.ndarray:
+def log_return_probability(log_t: np.ndarray,
+                           exp_: KernelExpansion) -> np.ndarray:
     """log a_t(0,0) on a grid of log-times, safely for astronomically large t.
 
     All distance-0 terms are positive, so the log-sum-exp is exact.  Raises
     AccuracyError if the deepest stored eigen-rate is not yet frozen
-    (h_L * t > ``guard``) at the largest requested time, since then the
+    (h_L * t > 0.1) at the largest requested time, since then the
     truncated expansion is missing decaying mass it cannot represent.
     """
     from scipy.special import logsumexp  # scipy.special loads on first use
     log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
     N, L = exp_.N, exp_.levels
-    if np.exp(exp_.log_h[-1] + log_t.max()) > guard:
+    if np.exp(exp_.log_h[-1] + log_t.max()) > 0.1:
         raise AccuracyError(
             "truncation too small for requested horizon: deepest eigen-rate "
             f"h_{L} = {exp_.h[-1]:.3e} is active at t_max"

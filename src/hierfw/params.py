@@ -142,9 +142,9 @@ class InitSpec:
         return out
 
     @classmethod
-    def constant(cls, theta: float, law: str = "deterministic",
-                 concentration: float = 2.0) -> "InitSpec":
-        return cls(theta, (theta,), law, concentration, theta)
+    def constant(cls, theta: float) -> "InitSpec":
+        """Every component starts at theta."""
+        return cls(theta, (theta,), theta_limit=theta)
 
 
 @dataclass(frozen=True)
@@ -286,86 +286,50 @@ class RegimeReport:
             "family_kind", "rho_infinite", "gamma", "phi_hat_class",
             "delta", "degree", "clustering", "criterion_used")}
 
-    def as_text(self) -> str:
-        return "\n".join(f"{k} = {v}" for k, v in self.as_dict().items()) + "\n"
 
-
-def classify_regime(params: ModelParams) -> RegimeReport:
-    """Tail exponent, slowly-varying class and random-walk degree.
+def classify(params: ModelParams) -> RegimeReport:
+    """Tail exponent, slowly-varying class, random-walk degree and verdict.
 
     Only the polynomial and pure-exponential families admit closed forms; a
-    generic parameter set yields a report with those fields unset.
+    generic parameter set yields a report with those fields unset.  The
+    clustering / coexistence verdict is decided symbolically from the
+    family, never from g.  Finite seed-bank: clusters iff sum 1/c_k diverges
+    (migration only).  Infinite seed-bank: polynomial clusters iff
+    -phi <= alpha <= 1, exponential clusters iff Kc <= 1 <= K; boundary
+    equalities cluster.
     """
     fam = params.family
     rho_inf = derive(params).rho_infinite
     if isinstance(fam, ExponentialFamily):
-        N, K, e, c = params.N, fam.K, fam.e, fam.c
+        kind, N, K, e, c = "exponential", params.N, fam.K, fam.e, fam.c
         gamma = math.log(N / (K * e)) / math.log(N / e)
         delta = math.log(c) / math.log(N / c)
         if not rho_inf:
             gamma, phi_hat = None, None
+            clusters, criterion = c <= 1, "finite-rho migration sum"
         else:
             phi_hat = "const" if K > 1 else "log"
+            clusters = K * c <= 1 <= K
+            criterion = "pure-exponential Kc <= 1 <= K"
         sign = "-" if c <= 1 else "+"
-        report = RegimeReport(
-            family_kind="exponential", rho_infinite=rho_inf, gamma=gamma,
-            phi_hat_class=phi_hat, delta=delta,
-            degree=f"{delta:.6g}^{sign}" if c != 1 else "0^-",
-        )
+        degree = f"{delta:.6g}^{sign}" if c != 1 else "0^-"
     elif isinstance(fam, PolynomialFamily):
+        kind, delta = "polynomial", None
         if not rho_inf:
             gamma, phi_hat = None, None
+            clusters, criterion = fam.phi >= -1, "finite-rho migration sum"
         else:
             gamma = 1.0
-            if fam.alpha < 1:
-                phi_hat = "log^{1-alpha}"
-            else:
-                phi_hat = "loglog"
+            phi_hat = "log^{1-alpha}" if fam.alpha < 1 else "loglog"
+            clusters = -fam.phi <= fam.alpha <= 1
+            criterion = "polynomial -phi <= alpha <= 1"
         degree = "0^-" if fam.phi >= -1 else "0^+"
-        report = RegimeReport(
-            family_kind="polynomial", rho_infinite=rho_inf, gamma=gamma,
-            phi_hat_class=phi_hat, delta=None, degree=degree,
-        )
     else:
         return RegimeReport(family_kind="generic", rho_infinite=rho_inf)
-    return report
-
-
-def _verdict(params: ModelParams, report: RegimeReport) -> tuple:
-    fam = params.family
-    if fam is None:
-        raise FamilyError("clustering verdict needs a declared family")
-    if not report.rho_infinite:
-        if isinstance(fam, ExponentialFamily):
-            diverges = fam.c <= 1
-        else:
-            diverges = fam.phi >= -1
-        return (CLUSTERS if diverges else COEXISTS), "finite-rho migration sum"
-    if isinstance(fam, ExponentialFamily):
-        ok = fam.K * fam.c <= 1 <= fam.K
-        return (CLUSTERS if ok else COEXISTS), "pure-exponential Kc <= 1 <= K"
-    ok = -fam.phi <= fam.alpha <= 1
-    return (CLUSTERS if ok else COEXISTS), "polynomial -phi <= alpha <= 1"
-
-
-def clustering_verdict(params: ModelParams, report: RegimeReport) -> str:
-    """Clustering vs coexistence, decided symbolically from the family.
-
-    Finite seed-bank: clusters iff sum 1/c_k diverges (migration only).
-    Infinite seed-bank: polynomial clusters iff -phi <= alpha <= 1,
-    exponential clusters iff Kc <= 1 <= K; boundary equalities cluster.
-    """
-    return _verdict(params, report)[0]
-
-
-def classify(params: ModelParams) -> RegimeReport:
-    """classify_regime plus the verdict, in one report."""
-    report = classify_regime(params)
-    verdict = criterion = None
-    if params.family is not None:
-        verdict, criterion = _verdict(params, report)
-    return RegimeReport(**{**report.as_dict(),
-                           "clustering": verdict, "criterion_used": criterion})
+    return RegimeReport(
+        family_kind=kind, rho_infinite=rho_inf, gamma=gamma,
+        phi_hat_class=phi_hat, delta=delta, degree=degree,
+        clustering=CLUSTERS if clusters else COEXISTS, criterion_used=criterion)
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +342,6 @@ class AsymptoticClass:
     label: str
     constant: Optional[float]
     asymptote: Optional[Callable]   # n -> predicted A_n
-    logarithmic: bool = False       # log / loglog growth (slower convergence)
 
 
 @dataclass(frozen=True)
@@ -418,7 +381,7 @@ def _dichotomy_class(fam: Optional[Family], rho: float,
                 return AsymptoticClass(
                     "exp-K1-power", c1, lambda n: c1 * c ** (-(n - 1)) / n)
             return AsymptoticClass(
-                "exp-K1-log", 0.5, lambda n: 0.5 * math.log(n), logarithmic=True)
+                "exp-K1-log", 0.5, lambda n: 0.5 * math.log(n))
         if c < K * e:
             hat = (K - 1) / (2.0 * K * (1.0 - Kc)) if Kc < 1 else None
             bar = (K - 1) / (2.0 * K)
@@ -444,15 +407,15 @@ def _dichotomy_class(fam: Optional[Family], rho: float,
                 "poly-power", c1, lambda n: c1 * n ** (alpha + phi))
         c2 = (1 - alpha) / (2 * A * F)
         return AsymptoticClass(
-            "poly-log", c2, lambda n: c2 * math.log(n), logarithmic=True)
+            "poly-log", c2, lambda n: c2 * math.log(n))
     if -phi < 1:
         c3 = 1.0 / (2 * A * F * (1 + phi))
         return AsymptoticClass(
             "poly-power-over-log", c3,
-            lambda n: c3 * n ** (1 + phi) / math.log(n), logarithmic=True)
+            lambda n: c3 * n ** (1 + phi) / math.log(n))
     c4 = 1.0 / (2 * A * F)
     return AsymptoticClass(
-        "poly-loglog", c4, lambda n: c4 * math.log(math.log(n)), logarithmic=True)
+        "poly-loglog", c4, lambda n: c4 * math.log(math.log(n)))
 
 
 def compute_A(params: ModelParams, derived: DerivedParams,
@@ -497,6 +460,8 @@ DIVERGENT = "divergent"
 CONVERGENT = "convergent"
 INCONCLUSIVE = "inconclusive"
 
+_SLOPE_TOL = 0.05    # see hazard_diagnostic
+
 
 def _log_phi_hat(u: np.ndarray, report: RegimeReport, fam: Family) -> np.ndarray:
     """log phi_hat(t) on a grid of u = log t, per symbolic class."""
@@ -535,11 +500,12 @@ def _expansion_for_horizon(params: ModelParams, log_tmax: float):
     return exp_, usable
 
 
-def _window_integrals(log_f: Callable, edges: np.ndarray, pts: int = 33) -> np.ndarray:
-    """Integrals of exp(log_f(u)) du over consecutive [edges[i], edges[i+1]]."""
+def _window_integrals(log_f: Callable, edges: np.ndarray) -> np.ndarray:
+    """Integrals of exp(log_f(u)) du over consecutive [edges[i], edges[i+1]],
+    by the trapezoidal rule on 33 points each."""
     out = np.empty(len(edges) - 1)
     for i in range(len(edges) - 1):
-        u = np.linspace(edges[i], edges[i + 1], pts)
+        u = np.linspace(edges[i], edges[i + 1], 33)
         out[i] = np.trapezoid(np.exp(log_f(u)), u)
     return out
 
@@ -553,9 +519,7 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> tuple:
     return float(slope), float(curvature)
 
 
-def hazard_diagnostic(params: ModelParams, report: RegimeReport,
-                      T_max: Optional[float] = None,
-                      slope_tol: float = 0.05) -> str:
+def hazard_diagnostic(params: ModelParams) -> str:
     """Classify the coalescence-hazard integral as divergent or convergent.
 
     The integrand phi_hat(t)^{-1/gamma} t^{-(1-gamma)/gamma} a_t(0,0) is
@@ -564,20 +528,21 @@ def hazard_diagnostic(params: ModelParams, report: RegimeReport,
     fitted in log t; polynomial families give slowly-varying integrands and
     are fitted in log u with u = log t (where their windows are power-like),
     with one further log-substitution separating the boundary 1/(u log u)
-    growth from genuine convergence.  |slope| < ``slope_tol`` reads as
-    "divergent like log".  A fit with large curvature where a clean power is
+    growth from genuine convergence.  |slope| < 0.05 reads as "divergent
+    like log".  The horizon is t = 1e14 for exponential families and 1e200
+    for polynomial ones.  A fit with large curvature where a clean power is
     expected, or an ambiguous final-stage ratio, returns "inconclusive".
     """
     if params.family is None:
         raise FamilyError("hazard diagnostic needs a declared family")
+    report = classify(params)
     if not report.rho_infinite:
         raise FamilyError("hazard criterion applies to the infinite seed-bank")
     gamma = report.gamma
     fam = params.family
     exp_kind = isinstance(fam, ExponentialFamily)
-    if T_max is None:
-        T_max = 1e14 if exp_kind else 1e200
-    exp_, log_tmax = _expansion_for_horizon(params, math.log(T_max))
+    exp_, log_tmax = _expansion_for_horizon(
+        params, math.log(1e14 if exp_kind else 1e200))
 
     def log_f(u):
         u = np.asarray(u, dtype=float)
@@ -597,7 +562,7 @@ def hazard_diagnostic(params: ModelParams, report: RegimeReport,
         W = _window_integrals(lambda u: log_f(u) + u, edges)
         tail = slice(max(0, n_win - 5), n_win)
         slope, curv = _fit_slope(edges[1:][tail], np.log(W[tail]))
-        if slope >= -slope_tol:
+        if slope >= -_SLOPE_TOL:
             return DIVERGENT
         if abs(curv) > 0.35:
             return INCONCLUSIVE
@@ -611,7 +576,7 @@ def hazard_diagnostic(params: ModelParams, report: RegimeReport,
     W = _window_integrals(lambda u: log_f(u) + u, edges)
     tail = slice(max(0, n_win - 5), n_win)
     slope, _ = _fit_slope(np.log(edges[1:][tail]), np.log(W[tail]))
-    if slope >= -slope_tol:
+    if slope >= -_SLOPE_TOL:
         return DIVERGENT
     # negative u-slope: either genuine convergence (u^{q+1}, q < -1) or the
     # boundary 1/(u log u); one more log-substitution separates them, as the

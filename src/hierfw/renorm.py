@@ -63,7 +63,6 @@ class EquilibriumBudget:
 
 @dataclass
 class EquilibriumEstimate:
-    theta: float
     ex: float
     ey: float
     exx: float
@@ -100,12 +99,12 @@ class _PairIntegrator:
             g_scale = 4.0 * float(np.max(g.grid.values))
         else:
             g_scale = g.d
-        noise_rate = E * E * max(g_scale, 1e-12) / (1.0 + E * K) ** 2
-        dt = dt_factor / max(self.r_slow, noise_rate, 1e-300)
-        # keep the per-step variance injection moderate so the splitting of
-        # drift against noise stays accurate
-        kick_sq_rate = E * E * max(g_scale, 1e-300) / (1.0 + E * K) ** 2
-        self.dt = min(dt, 0.15 ** 2 / kick_sq_rate)
+        kick_rate = E * E * max(g_scale, 1e-12) / (1.0 + E * K) ** 2
+        # resolve the slow relaxation and the noise, and keep the per-step
+        # variance injection moderate so the splitting of drift against
+        # noise stays accurate
+        self.dt = min(dt_factor / max(self.r_slow, kick_rate),
+                      0.15 ** 2 / kick_rate)
         decay = math.exp(-self.r_fast * self.dt / 2.0)
         w_u = 1.0 / (1.0 + E * K)
         rot = np.array([[w_u * (1.0 + E * K * decay), w_u * E * K * (1.0 - decay)],
@@ -168,8 +167,8 @@ class _PairIntegrator:
 
 
 def mv_equilibrium(E: float, c: float, K: float, e: float, g: DiffusionFn,
-                   theta: float, budget: EquilibriumBudget, seed: int,
-                   label: str = "mv") -> EquilibriumEstimate:
+                   theta: float, budget: EquilibriumBudget,
+                   seed: int) -> EquilibriumEstimate:
     """Equilibrium moments of the effective pair with drift centre theta.
 
     Long-run time averages over independent replicas; the estimate is
@@ -178,7 +177,7 @@ def mv_equilibrium(E: float, c: float, K: float, e: float, g: DiffusionFn,
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0,1]")
-    rng = rngmod.stream(seed, label, "theta", f"{theta:.17g}")
+    rng = rngmod.stream(seed, "mv", "theta", f"{theta:.17g}")
     return _equilibria(E, c, K, e, g, np.array([theta], dtype=float),
                        budget, rng)[0]
 
@@ -224,7 +223,7 @@ def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
     means = acc / n_rec                      # per-replica time averages
     keys = ("ex", "ey", "exx", "eyy", "exy", "fg")
     out = []
-    for i, theta in enumerate(thetas):
+    for i in range(len(thetas)):
         grand = means[:, i, :].mean(axis=1)
         se = means[:, i, :].std(axis=1, ddof=1) / math.sqrt(R)
         h0 = acc_half[0, i] / max(half_counts[0], 1)
@@ -233,7 +232,7 @@ def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
         gap = abs(float(diff.mean()))
         gap_se = float(diff.std(ddof=1)) / math.sqrt(R)
         out.append(EquilibriumEstimate(
-            theta=float(theta), **dict(zip(keys, map(float, grand))),
+            **dict(zip(keys, map(float, grand))),
             se={k: float(v) for k, v in zip(keys, se)},
             flagged=bool(gap > 4.0 * gap_se + 1e-12), n_replicas=R,
             total_steps=(n_burn + n_sample) * R, dt=integ.dt,
@@ -248,10 +247,10 @@ def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
 BACKENDS = ("exact", "mc")
 
 
-def default_theta_grid(n_interior: int = 41) -> np.ndarray:
-    """Chebyshev-like interior nodes plus the exact endpoints."""
-    k = np.arange(1, n_interior + 1)
-    interior = 0.5 * (1.0 - np.cos(np.pi * k / (n_interior + 1)))
+def default_theta_grid() -> np.ndarray:
+    """41 Chebyshev-like interior nodes plus the exact endpoints."""
+    k = np.arange(1, 42)
+    interior = 0.5 * (1.0 - np.cos(np.pi * k / 42))
     return np.concatenate([[0.0], interior, [1.0]])
 
 
@@ -458,21 +457,20 @@ def volatility_profile(k: int, coefficients: ClusteringCoefficients) -> np.ndarr
     return A0 / A0[-1]
 
 
-def classify_profile(coefficients: ClusteringCoefficients, k: int,
-                     epsilons=(0.25, 0.5)) -> str:
+def classify_profile(coefficients: ClusteringCoefficients, k: int) -> str:
     """Fast / diffusive / slow clustering from the crossing levels of f^k.
 
-    Tracks the smallest level where the profile reaches epsilon for a range
-    of depths k' <= k.  A crossing that stays within O(1) of k' (slope one,
-    epsilon shifting only the intercept) is fast clustering; a crossing at a
-    proportional level kappa(epsilon) k' is diffusive; a crossing at o(k') is
-    slow.
+    Tracks the smallest level where the profile reaches epsilon, for
+    epsilon = 1/4 and 1/2 and a range of depths k' <= k.  A crossing that
+    stays within O(1) of k' (slope one, epsilon shifting only the intercept)
+    is fast clustering; a crossing at a proportional level kappa(epsilon) k'
+    is diffusive; a crossing at o(k') is slow.
     """
     if k < 2:
         raise ValueError("profile classification needs depth >= 2")
     depths = np.arange(min(max(2, k // 2), k - 1), k + 1)
     slopes = []
-    for eps in epsilons:
+    for eps in (0.25, 0.5):
         crossings = []
         for kk in depths:
             f = volatility_profile(int(kk), coefficients)

@@ -212,12 +212,11 @@ def test_criterion_05_verdict_truth_table():
     n_hazard = 0
     for fam, N, expected, applies in grid:
         mp = params.ModelParams.from_family(N=N, levels=4, family=fam, g=FW)
-        rep = params.classify_regime(mp)
-        v = params.clustering_verdict(mp, rep)
+        v = params.classify(mp).clustering
         verdict_ok &= (v == expected)
         if applies:
             n_hazard += 1
-            h = params.hazard_diagnostic(mp, rep)
+            h = params.hazard_diagnostic(mp)
             want = params.DIVERGENT if expected == C else params.CONVERGENT
             hazard_ok &= (h == want)
     verdict(5, verdict_ok and hazard_ok and n_hazard == 12,
@@ -242,7 +241,7 @@ def test_criterion_06_duality():
         for t in (0.5, 1.0, 2.0):
             rep = dual.duality_estimate(mp, z, cfg, t, 100_000,
                                         seed=600 + n_lineages, dt=0.002)
-            ok &= rep.passes(3.0)
+            ok &= rep.passes()
             ok &= abs(rep.rhs - rep.exact_rhs) < 4 * rep.rhs_se
             lines.append(f"l={n_lineages},t={t}: gap={rep.gap:.4f}")
     elapsed = time.monotonic() - t_start
@@ -354,7 +353,7 @@ def test_criterion_10_wakeup_tail():
     for K_ in (2.0, 4.0):
         fam = params.ExponentialFamily(K=K_, e=1.0, c=0.25)
         mp = params.ModelParams.from_family(N=8, levels=15, family=fam, g=FW)
-        gamma = params.classify_regime(mp).gamma
+        gamma = params.classify(mp).gamma
         rs = dual.renewal_sample(mp, 1_000_000, stream(1000 + int(K_), "tail"))
         fit = dual.tail_fit(rs)
         ok &= fit.power_law_plausible and abs(fit.gamma - gamma) < 0.05

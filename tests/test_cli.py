@@ -294,6 +294,21 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("simulate-forward", ("law: deterministic",
                           "law: deterministic\n  theta_limit: abc"),
      "invalid init block"),
+    # numbers are read strictly: integral where counted, finite everywhere
+    ("simulate-dual", ("dt: 0.005", "horizon: .inf"), "run.horizon"),
+    ("simulate-dual", ("dt: 0.005", "horizon: .nan"), "run.horizon"),
+    ("duality-check", ("t: 1.0", "t: .inf"), "run.t"),
+    ("duality-check", ("replicas: 4000", "replicas: .inf"), "run.replicas"),
+    ("interaction-chain", ("dt: 0.005", "burn: .inf"), "run.burn"),
+    ("classify", ("N: 2", "N: .inf"), "invalid model block"),
+    ("classify", ("seed: 7", "seed: .inf"), "seed"),
+    ("simulate-dual", ("actives: {0: 2}", "actives: {0: .inf}"),
+     "invalid dual block"),
+    ("simulate-forward", ("dt: 0.005", "dt: 0.005\n  snapshots: 'false'"),
+     "run.snapshots"),
+    ("duality-check", ("replicas: 4000", "replicas: true"), "run.replicas"),
+    ("classify", ("N: 2", "N: 2.7"), "invalid model block"),
+    ("classify", ("levels: 0", "levels: 0.9"), "invalid model block"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -303,6 +318,19 @@ def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (out / "manifest.json").exists()
+
+
+def test_exponent_strings_read_as_numbers(tmp_path):
+    # PyYAML leaves 5e-3 a string; it must run as dt = 0.005 does
+    outs = []
+    for i, dt in enumerate(("0.005", "5e-3")):
+        cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace("dt: 0.005", f"dt: {dt}"),
+                        name=f"cfg{i}.yaml")
+        outs.append(tmp_path / f"o{i}")
+        assert run(["simulate-forward", "--config", cfg, "--out", outs[-1],
+                    "--quiet"]) == 0
+    assert ((outs[0] / "trajectory.csv").read_bytes()
+            == (outs[1] / "trajectory.csv").read_bytes())
 
 
 def test_version_matches_pyproject():
@@ -428,12 +456,38 @@ model:
   g: {kind: fisher_wright, d: 1.0}
 run: {depth: 4}
 """
+_TWO_COLONY_MODEL = TWO_COLONY_CFG[:TWO_COLONY_CFG.index("init:")]
+FORWARD_FUZZ_CFG = _TWO_COLONY_MODEL + """\
+init: {theta_x: 0.7, theta_y: [0.4]}
+run: {horizon: 0.1, dt: 0.01, times: [0.0, 0.1]}
+"""
+DUALITY_FUZZ_CFG = _TWO_COLONY_MODEL + """\
+init: {theta_x: 0.7, theta_y: [0.4]}
+dual: {actives: {0: 2}}
+run: {t: 0.1, replicas: 100, dt: 0.05}
+"""
+# E c / e < 1/32 keeps the orbit on the closed-form averaged law, also when
+# one of c, e is replaced, and dt_factor 1 keeps the default burn-in short
+CHAIN_FUZZ_CFG = """\
+model:
+  N: 4
+  levels: 1
+  c: [0.05, 0.05]
+  e: [256.0, 256.0]
+  K: [0.01, 0.01]
+  g: {kind: fisher_wright, d: 0.01}
+init: {theta_x: 0.5, theta_y: [0.5]}
+run: {depth: 0, replicas: 8, burn: 0.01, dt_factor: 1.0}
+"""
 FUZZ_CASES = [(command, text, leaf)
               for command, text in [
                   ("classify", TWO_COLONY_CFG),
                   ("simulate-dual", TWO_COLONY_CFG),
                   ("renorm-orbit", ORBIT_FUZZ_CFG),
-                  ("profile", PROFILE_FUZZ_CFG)]
+                  ("profile", PROFILE_FUZZ_CFG),
+                  ("simulate-forward", FORWARD_FUZZ_CFG),
+                  ("duality-check", DUALITY_FUZZ_CFG),
+                  ("interaction-chain", CHAIN_FUZZ_CFG)]
               for leaf in _leaves(yaml.safe_load(text))]
 TWO_COLONY_CASES = 2 * len(list(_leaves(yaml.safe_load(TWO_COLONY_CFG))))
 
@@ -444,7 +498,8 @@ TWO_COLONY_CASES = 2 * len(list(_leaves(yaml.safe_load(TWO_COLONY_CFG))))
           deadline=None)
 @given(case=st.sampled_from(FUZZ_CASES),
        value=st.one_of(st.text(string.ascii_letters, max_size=6),
-                       st.sampled_from([[], {}, None, -1, 0])))
+                       st.sampled_from([[], {}, None, -1, 0, float("inf"),
+                                        float("nan"), True, 2.5])))
 def test_malformed_leaf_exits_cleanly(case, value):
     command, text, leaf = case
     cfg = yaml.safe_load(text)

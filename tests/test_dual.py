@@ -226,7 +226,7 @@ def test_duality_two_colony_full():
     z = z_state()
     cfg = D.DualConfig.actives(mp, {0: 2})
     rep = D.duality_estimate(mp, z, cfg, 1.0, 50_000, seed=9, dt=0.002)
-    assert rep.passes(3.0)
+    assert rep.passes()
     # the dual Monte Carlo is an exact-law sampler: it must straddle the
     # generator-exponential value within its own noise
     assert abs(rep.rhs - rep.exact_rhs) < 4 * rep.rhs_se
@@ -293,7 +293,7 @@ def test_tail_fit_needs_enough_samples():
 def test_tail_exponent_exponential_family():
     fam = P.ExponentialFamily(K=2.0, e=1.0, c=0.25)
     mp = P.ModelParams.from_family(N=8, levels=15, family=fam, g=fisher_wright(1.0))
-    rep = P.classify_regime(mp)
+    rep = P.classify(mp)
     rs = D.renewal_sample(mp, 1_000_000, stream(14, "tail-pow"))
     fit = D.tail_fit(rs)
     assert fit.power_law_plausible

@@ -367,7 +367,7 @@ def test_truncation_accuracy_error():
     spec = KernelSpec(N=2, c=(1.0, 1.0))
     exp_ = build_expansion(spec)
     with pytest.raises(AccuracyError):
-        transition_kernel(1.0, 0, exp_, tol=1e-12)
+        transition_kernel(1.0, 0, exp_)
 
 
 def test_return_probability_power_law_slope():

@@ -134,25 +134,25 @@ def test_wakeup_tail_matches_samples():
 
 
 def test_gamma_exponential():
-    rep = P.classify_regime(exp_params(2, 1, 0.25, N=4))
+    rep = P.classify(exp_params(2, 1, 0.25, N=4))
     assert rep.gamma == pytest.approx(math.log(2) / math.log(4))
 
 
 def test_delta_zero_for_c_one():
-    rep = P.classify_regime(exp_params(2, 1, 1.0, N=4))
+    rep = P.classify(exp_params(2, 1, 1.0, N=4))
     assert rep.delta == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gamma_polynomial_is_one():
-    rep = P.classify_regime(poly_params(0.5, 1.0, 0.0))
+    rep = P.classify(poly_params(0.5, 1.0, 0.0))
     assert rep.gamma == 1.0
-    rep2 = P.classify_regime(poly_params(0.9, 2.0, -0.3, B=0.1))
+    rep2 = P.classify(poly_params(0.9, 2.0, -0.3, B=0.1))
     assert rep2.gamma == 1.0
 
 
 def test_gamma_in_unit_interval_and_K1_exact():
     for K, e, N in [(2, 1, 8), (4, 1, 16), (1.5, 0.5, 8), (1, 0.7, 4), (1, 1, 8)]:
-        rep = P.classify_regime(exp_params(K, e, max(0.25, 1e-3), N=N))
+        rep = P.classify(exp_params(K, e, max(0.25, 1e-3), N=N))
         if rep.gamma is not None:
             assert 0 < rep.gamma <= 1
         if K == 1:
@@ -162,11 +162,12 @@ def test_gamma_in_unit_interval_and_K1_exact():
 def test_generic_family_gives_partial_report():
     mp = P.ModelParams(N=4, levels=2, c=(1.0, 0.5, 0.25), e=(1.0, 1.0, 1.0),
                        K=(1.0, 2.0, 3.0), g=FW, init=P.InitSpec.constant(0.5))
-    rep = P.classify_regime(mp)
+    rep = P.classify(mp)
     assert rep.family_kind == "generic"
     assert rep.gamma is None and rep.delta is None
+    assert rep.clustering is None and rep.criterion_used is None
     with pytest.raises(P.FamilyError):
-        P.clustering_verdict(mp, rep)
+        P.hazard_diagnostic(mp)
 
 
 # ----------------------------------------------------------------------
@@ -176,19 +177,19 @@ def test_generic_family_gives_partial_report():
 
 def test_verdict_polynomial_clusters():
     mp = poly_params(0.5, 1.0, 0.0)  # -phi = 0 <= alpha = 0.5 <= 1
-    assert P.clustering_verdict(mp, P.classify_regime(mp)) == P.CLUSTERS
+    assert P.classify(mp).clustering == P.CLUSTERS
 
 
 def test_verdict_exponential_coexists():
     mp = exp_params(2, 1, 1.0)  # Kc = 2 > 1
-    assert P.clustering_verdict(mp, P.classify_regime(mp)) == P.COEXISTS
+    assert P.classify(mp).clustering == P.COEXISTS
 
 
 def test_verdict_finite_rho_strong_migration_clusters():
     mp = exp_params(0.5, 1.0, 0.5)  # rho < inf, c_k = c^k with c < 1
-    rep = P.classify_regime(mp)
+    rep = P.classify(mp)
     assert not rep.rho_infinite
-    assert P.clustering_verdict(mp, rep) == P.CLUSTERS
+    assert rep.clustering == P.CLUSTERS
 
 
 def test_verdict_ignores_diffusion_function():
@@ -197,7 +198,7 @@ def test_verdict_ignores_diffusion_function():
               grid_from_callable(lambda x: (x * (1 - x)) ** 2)):
         fam = P.ExponentialFamily(K=2, e=1, c=0.25)
         mp = P.ModelParams.from_family(N=8, levels=8, family=fam, g=g)
-        assert P.clustering_verdict(mp, P.classify_regime(mp)) == P.CLUSTERS
+        assert P.classify(mp).clustering == P.CLUSTERS
 
 
 # ----------------------------------------------------------------------
@@ -283,30 +284,26 @@ def test_hazard_exponential_divergent_matches_verdict():
     # clustering family member; N chosen large enough that the fixed-N
     # integral criterion agrees with the N -> infinity verdict
     mp = exp_params(2, 1, 0.25, N=64, levels=4)
-    rep = P.classify_regime(mp)
-    assert P.clustering_verdict(mp, rep) == P.CLUSTERS
-    assert P.hazard_diagnostic(mp, rep) == P.DIVERGENT
+    assert P.classify(mp).clustering == P.CLUSTERS
+    assert P.hazard_diagnostic(mp) == P.DIVERGENT
 
 
 @pytest.mark.slow
 def test_hazard_exponential_convergent_matches_verdict():
     mp = exp_params(2, 1, 1.0, N=8, levels=4)
-    rep = P.classify_regime(mp)
-    assert P.clustering_verdict(mp, rep) == P.COEXISTS
-    assert P.hazard_diagnostic(mp, rep) == P.CONVERGENT
+    assert P.classify(mp).clustering == P.COEXISTS
+    assert P.hazard_diagnostic(mp) == P.CONVERGENT
 
 
 @pytest.mark.slow
 def test_hazard_small_gamma_convergent():
     # gamma < 1/2: no clustering possible at fixed N, whatever the migration
     mp = exp_params(4, 1, 0.25, N=8, levels=4)
-    rep = P.classify_regime(mp)
-    assert rep.gamma < 0.5
-    assert P.hazard_diagnostic(mp, rep) == P.CONVERGENT
+    assert P.classify(mp).gamma < 0.5
+    assert P.hazard_diagnostic(mp) == P.CONVERGENT
 
 
 def test_hazard_requires_infinite_seedbank():
     mp = exp_params(0.5, 1, 0.5)
-    rep = P.classify_regime(mp)
     with pytest.raises(P.FamilyError):
-        P.hazard_diagnostic(mp, rep)
+        P.hazard_diagnostic(mp)

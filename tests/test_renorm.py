@@ -198,7 +198,7 @@ def test_default_theta_grid_shape():
 CLUSTERING_METHODS = ["mca-21/41", "mca-41/81"] + ["averaged"] * 7
 
 
-@pytest.mark.parametrize("grid", [np.linspace(0, 1, 21), R.default_theta_grid(41)],
+@pytest.mark.parametrize("grid", [np.linspace(0, 1, 21), R.default_theta_grid()],
                          ids=["uniform21", "chebyshev41"])
 def test_exact_F_matches_fw_recursion(grid):
     # F (d_l g_FW) = d_{l+1} g_FW with level-l rates, to 5e-3 relative
