@@ -45,7 +45,7 @@ def run(name, family, depth, seed):
         if n <= MC_LEVELS:
             mc = renorm.evaluate_F(inputs[lvl], *rates, grid, budget, seed,
                                    label=f"check-{n}")
-            gap = np.abs(orbit.grids[lvl].grid.values - mc.fn.grid.values)
+            gap = np.abs(orbit.grids[lvl](grid) - mc.fn(grid))
             j = int(np.argmax(gap))
             line += f"  {gap[j]:.2e}         {mc.se[j]:.2e}"
         print(line)

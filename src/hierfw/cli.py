@@ -27,7 +27,7 @@ import scipy
 import yaml
 
 from . import __version__, dual, forward, hiergeo, params, renorm
-from .diffusion import DiffusionFn, GridFunction, fisher_wright
+from .diffusion import DiffusionFn, fisher_wright
 from .rng import stream
 
 
@@ -139,9 +139,8 @@ def _build_g(spec) -> DiffusionFn:
     if kind == "fisher_wright":
         return fisher_wright(_number(spec.get("d", 1.0)))
     if kind == "grid":
-        return DiffusionFn(kind="grid", grid=GridFunction(
-            np.asarray(_floats(spec["nodes"])),
-            np.asarray(_floats(spec["values"]))))
+        return DiffusionFn.from_g(_floats(spec["nodes"]),
+                                  _floats(spec["values"]))
     raise ConfigError(f"unknown diffusion kind {kind!r}")
 
 
@@ -386,27 +385,30 @@ def _budget(run: dict) -> renorm.EquilibriumBudget:
         sample=run.get("sample", 80.0), dt_factor=run.get("dt_factor", 0.01))
 
 
+def _theta_grid(run: dict) -> np.ndarray:
+    """The orbit's theta grid: ``run.grid_size`` uniform nodes on [0, 1]."""
+    return np.linspace(0.0, 1.0, max(run.get("grid_size", 21), 0))
+
+
 def cmd_renorm_orbit(job: Job) -> tuple:
     mp, run, out = job.model, job.run, job.outdir
     depth = run.get("depth", 5)
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, min(mp.levels + 1, depth + 1))
-    grid = np.linspace(0.0, 1.0, run.get("grid_size", 21))
     # the exact backend ignores the sampling budget, which is still checked
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth,
-                                    _budget(run), job.seed, theta_grid=grid,
+                                    _budget(run), job.seed,
+                                    theta_grid=_theta_grid(run),
                                     backend="exact")
     files = [write_csv(out / "orbit.csv", "level,A_n,sup_distance",
                        orbit.csv_rows())]
     for i, level in enumerate(orbit.levels):
-        rows = list(zip(orbit.theta_grid, orbit.grids[i].grid.values))
+        rows = list(zip(orbit.theta_grid, orbit.grids[i](orbit.theta_grid)))
         files.append(write_csv(out / f"fgrid_level{int(level)}.csv",
                                "theta,value", rows,
                                comments=[f"level = {int(level)}",
                                          f"A_n = {_fmt(orbit.A[i])}"]))
-    summary = {"depth": depth, "flagged": orbit.flagged,
-               "flagged_nodes": orbit.flagged_nodes(),
-               "sup_distance": orbit.sup_distance.tolist(),
+    summary = {"depth": depth, "sup_distance": orbit.sup_distance.tolist(),
                "A": orbit.A.tolist()}
     return summary, files + [write_json(out / "summary.json", summary)]
 
@@ -421,7 +423,9 @@ def cmd_interaction_chain(job: Job) -> tuple:
     coeffs = params.compute_A(mp, derived, depth + 2)
     budget = _budget(run)
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth + 1,
-                                    budget, job.seed, backend="exact")
+                                    budget, job.seed,
+                                    theta_grid=_theta_grid(run),
+                                    backend="exact")
     g_orbit = [mp.g] + orbit.grids
     chain = renorm.sample_interaction_chain(depth, mp, derived, g_orbit,
                                             n_replicas, budget, job.seed)

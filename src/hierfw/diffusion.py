@@ -1,9 +1,10 @@
 """Diffusion functions: the class of admissible resampling rates.
 
-Members vanish at 0 and 1, are positive inside, and are Lipschitz.  Two
-representations are supported: the parametric Fisher-Wright family
-d * x(1-x), and piecewise-linear grid functions (the renormalisation map is
-evaluated on grids, and its iterates are stored this way).
+Members vanish at 0 and 1, are non-negative inside, and are Lipschitz.  One
+representation serves them all: g(x) = x(1-x) h(x) with h >= 0 given on
+nodes that include 0 and 1 and linear between them.  The Fisher-Wright
+family d x(1-x) is the two-node case h = d, so it is exact on any grid, and
+so are the iterates of the renormalisation map near it.
 """
 
 from __future__ import annotations
@@ -14,71 +15,73 @@ from typing import Callable, Optional
 import numpy as np
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Piecewise-linear function on [0,1], zero at both endpoints."""
+def _arrays(nodes, values) -> tuple:
+    """Nodes from 0 to 1, strictly increasing, and a value >= 0 per node."""
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if nodes.ndim != 1 or len(nodes) < 2 or values.shape != nodes.shape:
+        raise ValueError("grid needs at least two nodes and one value per node")
+    if nodes[0] != 0.0 or nodes[-1] != 1.0:
+        raise ValueError("grid must include the endpoints 0 and 1")
+    if np.any(np.diff(nodes) <= 0):
+        raise ValueError("grid nodes must be strictly increasing")
+    if not np.all(values >= 0) or not np.all(np.isfinite(values)):
+        raise ValueError("grid values must be finite and non-negative")
+    return nodes, values
+
+
+@dataclass(frozen=True, eq=False)
+class DiffusionFn:
+    """g(x) = x(1-x) h(x), h >= 0 on ``nodes`` and linear between them."""
 
     nodes: np.ndarray
-    values: np.ndarray
+    h: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        nodes, h = _arrays(self.nodes, self.h)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-        if nodes.ndim != 1 or len(nodes) < 2 or values.shape != nodes.shape:
-            raise ValueError("grid needs at least two nodes and one value per node")
-        if nodes[0] != 0.0 or nodes[-1] != 1.0:
-            raise ValueError("grid must include the endpoints 0 and 1")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("grid nodes must be strictly increasing")
+        object.__setattr__(self, "h", h)
+
+    @classmethod
+    def from_g(cls, nodes, values) -> DiffusionFn:
+        """The g taking ``values`` at ``nodes``: h = g / (x(1-x)) at interior
+        nodes, and at 0 and 1 the h of the nearest interior node, a rule that
+        is exact for constant h and never negative.  Without an interior node
+        g vanishes."""
+        nodes, values = _arrays(nodes, values)
         if values[0] != 0.0 or values[-1] != 0.0:
             raise ValueError("grid values must vanish at the endpoints")
-        if np.any(values < 0):
-            raise ValueError("grid values must be non-negative")
+        x = nodes[1:-1]
+        h = values[1:-1] / (x * (1.0 - x))
+        return cls(nodes, np.concatenate([h[:1], h, h[-1:]]) if len(h)
+                   else np.zeros(2))
 
     def __call__(self, x):
-        return np.interp(x, self.nodes, self.values)
-
-    def lipschitz(self) -> float:
-        slopes = np.diff(self.values) / np.diff(self.nodes)
-        return float(np.max(np.abs(slopes))) if len(slopes) else 0.0
-
-
-@dataclass(frozen=True)
-class DiffusionFn:
-    """Resampling diffusion function, Fisher-Wright or tabulated."""
-
-    kind: str                       # "fisher_wright" | "grid"
-    d: Optional[float] = None
-    grid: Optional[GridFunction] = None
-
-    def __post_init__(self):
-        if self.kind == "fisher_wright":
-            if self.d is None or not self.d >= 0:
-                raise ValueError("fisher_wright needs a rate d >= 0")
-        elif self.kind == "grid":
-            if self.grid is None:
-                raise ValueError("grid kind needs a GridFunction")
-        else:
-            raise ValueError(f"unknown diffusion kind {self.kind!r}")
-
-    def __call__(self, x):
-        if self.kind == "fisher_wright":
-            return self.d * np.asarray(x) * (1.0 - np.asarray(x))
-        return self.grid(x)
+        x = np.asarray(x)
+        if self.is_fisher_wright:
+            return self.d * x * (1.0 - x)
+        return x * (1.0 - x) * np.interp(x, self.nodes, self.h)
 
     @property
     def is_fisher_wright(self) -> bool:
-        return self.kind == "fisher_wright"
+        return len(self.h) == 2 and self.h[0] == self.h[1]
+
+    @property
+    def d(self) -> Optional[float]:
+        """The Fisher-Wright rate, None for any other g."""
+        return float(self.h[0]) if self.is_fisher_wright else None
 
     @property
     def lipschitz_bound(self) -> float:
-        return self.d if self.is_fisher_wright else self.grid.lipschitz()
+        """max|h| + max|h'|/4 >= |g'| = |(1-2x) h + x(1-x) h'|."""
+        slopes = np.diff(self.h) / np.diff(self.nodes)
+        return float(np.max(self.h) + np.max(np.abs(slopes)) / 4.0)
 
 
 def fisher_wright(d: float = 1.0) -> DiffusionFn:
-    return DiffusionFn(kind="fisher_wright", d=d)
+    if not d >= 0:
+        raise ValueError("fisher_wright needs a rate d >= 0")
+    return DiffusionFn(np.array([0.0, 1.0]), np.array([d, d], dtype=float))
 
 
 def g_fw(x):
@@ -88,9 +91,7 @@ def g_fw(x):
 
 
 def grid_from_callable(f: Callable) -> DiffusionFn:
-    """Tabulate f on 129 uniform nodes; endpoint values are forced to zero."""
+    """f at 129 uniform nodes, through ``DiffusionFn.from_g``; f's endpoint
+    values are not read."""
     nodes = np.linspace(0.0, 1.0, 129)
-    values = np.asarray(f(nodes), dtype=float).copy()
-    values[0] = 0.0
-    values[-1] = 0.0
-    return DiffusionFn(kind="grid", grid=GridFunction(nodes, values))
+    return DiffusionFn.from_g(nodes, np.where(nodes % 1.0 > 0.0, f(nodes), 0.0))

@@ -392,10 +392,8 @@ def duality_estimate(params: ModelParams, z: SystemState, cfg0: DualConfig,
     Only defined for Fisher-Wright resampling.
     """
     if not params.g.is_fisher_wright:
-        raise DualityError(
-            "moment duality holds for g = d * x(1-x) only; "
-            f"got diffusion kind {params.g.kind!r}"
-        )
+        raise DualityError("moment duality holds for g = d * x(1-x) only; "
+                           "got a tabulated g")
     counts = cfg0.counts
 
     def reducer(x, y):

@@ -10,8 +10,8 @@ grids, h and h/2, and combined by the Richardson step 2 F_{h/2} - F_h.
 Where r < 1/32, x and y lock together and the weighted mean
 u = (x + EK y)/(1+EK) diffuses alone (averaging; Pavliotis & Stuart,
 *Multiscale Methods*); F g is then the mean of g under u's speed-measure
-density: a Beta law for Fisher-Wright g, integrated segment by segment for
-a grid g.
+density: a Beta law for Fisher-Wright g, else integrated by panels graded
+toward the zeros of g, where the density has a power-law singularity.
 
 ``renorm.evaluate_F`` imports this module on first use: the processes that
 never evaluate F exactly do not pay for compiling it.
@@ -126,37 +126,20 @@ def _averaged_mean_g(g: DiffusionFn, lam: float, theta: float) -> float:
     du = E c (theta - u)/(1+EK) dt + E sqrt(g(u))/(1+EK) dW, i.e. the speed
     density p(u) ~ exp(lam Phi(u)) / g(u) with Phi' = (theta - u)/g and
     lam = 2 c (1+EK)/E."""
-    if g.is_fisher_wright:
-        # p is Beta(s theta, s (1-theta)) with s = lam/d
-        if g.d == 0.0:
-            return 0.0
-        s = lam / g.d
-        return g.d * theta * (1.0 - theta) * s / (s + 1.0)
-    return _averaged_grid(g.grid.nodes, g.grid.values, lam, theta)
+    if g.is_fisher_wright:   # p is Beta(s theta, s (1-theta)), s = lam/d
+        return g.d * theta * (1.0 - theta) * lam / (lam + g.d)
+    return _averaged_grid(g.nodes, g.h, lam, theta)
 
 
-def _phi_step(p, q, g_p, g_q, theta):
-    """Phi(q) - Phi(p) = int_p^q (theta - t)/g(t) dt for g linear on [p, q]
-    with g_p > 0 and g_q > 0, stable as the slope vanishes."""
-    delta = q - p
-    rho = g_q / g_p - 1.0
-    small = np.abs(rho) < 1e-4
-    safe = np.where(small, 1.0, rho)
-    log1p = np.log1p(safe)
-    h1 = np.where(small, 1.0 - rho / 2.0 + rho * rho / 3.0, log1p / safe)
-    h2 = np.where(small, -0.5 + rho / 3.0 - rho * rho / 4.0,
-                  (log1p - safe) / (safe * safe))
-    return (delta * delta / g_p) * h2 + (theta - p) * (delta / g_p) * h1
-
-
-def _log_kummer1(b, x):
-    """log M(1, b, x) for b > 1, x >= 0."""
-    # scipy.special loads on first use
-    from scipy.special import gammainc, gammaln, hyp1f1
-    if x < b:
-        return math.log(hyp1f1(1.0, b, x))
-    return (math.log(b - 1.0) + x + (1.0 - b) * math.log(x) + gammaln(b - 1.0)
-            + math.log(gammainc(b - 1.0, x)))
+def _log_integral(alpha, p, q, h_p, h_q):
+    """int_p^q dt / (t h) = ln(q h_p / (p h_q)) / alpha, p, q > 0, for h > 0
+    linear with h(0) = alpha; through log1p while alpha is small, since
+    q h_p - p h_q = alpha (q - p), so the limit alpha -> 0 is exact."""
+    z = alpha * (q - p) / (p * h_q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = np.log(q * h_p / (p * h_q)) / alpha
+        near = (q - p) / (p * h_q) * np.where(z == 0.0, 1.0, np.log1p(z) / z)
+    return np.where(np.abs(z) < 0.5, near, far)
 
 
 @functools.cache
@@ -172,57 +155,81 @@ def _gauss_legendre():
     return rule
 
 
-def _averaged_grid(nodes, vals, lam, theta) -> float:
-    """_averaged_mean_g for piecewise-linear g.
-
-    The density lives on the run of nodes with g > 0 around theta, bounded by
-    two zeros of g.  Phi is summed in closed form node to node.  On the two
-    edge segments g is proportional to the distance tau from the zero, so
-    p ~ tau^(gamma-1) exp(-kappa tau) there, integrated exactly through
-    Kummer's function; interior segments are smooth and take Gauss-Legendre
-    panels, enough of them to resolve lam Phi.
-    """
-    from scipy.special import logsumexp  # scipy.special loads on first use
-    k = min(max(int(np.searchsorted(nodes, theta, side="right")) - 1, 0),
-            len(nodes) - 2)
-    g_theta = float(np.interp(theta, nodes, vals))
-    if g_theta <= 0.0:
+def _averaged_grid(nodes, h, lam, theta) -> float:
+    """_averaged_mean_g for g = x(1-x) h, h linear between the nodes: the
+    sides of theta by ``_half_law``, the right one on the mirror image
+    x -> 1 - x, which maps Phi onto itself."""
+    if np.interp(theta, nodes, h) <= 0.0:
         return 0.0                      # the law is the point mass at theta
-    zero = vals <= 0.0
-    left = int(np.flatnonzero(zero[:k + 1])[-1])
-    right = k + 1 + int(np.flatnonzero(zero[k + 1:])[0])
-    inner = np.arange(left + 1, right)  # nodes with g > 0
-    psi = np.empty(len(nodes))
-    for side in (inner[inner > k], inner[inner <= k][::-1]):
-        if len(side) == 0:
-            continue
-        prev_t = np.concatenate([[theta], nodes[side[:-1]]])
-        prev_g = np.concatenate([[g_theta], vals[side[:-1]]])
-        steps = _phi_step(prev_t, nodes[side], prev_g, vals[side], theta)
-        psi[side] = lam * np.cumsum(steps)
+    z1, z0 = (np.concatenate(a) for a in zip(
+        _half_law(nodes, h, lam, theta),
+        _half_law(1.0 - nodes[::-1], h[::-1], lam, 1.0 - theta)))
+    top1, top0 = z1.max(), z0.max()
+    return float(math.exp(top1 - top0) * np.exp(z1 - top1).sum()
+                 / np.exp(z0 - top0).sum())
+
+
+def _half_law(nodes, h, lam, theta) -> tuple:
+    """Log-weights of int g p and int p over [z, theta], z the zero of g
+    nearest below theta, for p = exp(lam Phi) / g with Phi(theta) = 0.
+
+    Where h is a line, Phi' = theta/(t h) - (1-theta)/((1-t) h) integrates in
+    closed form.  The gaps between z, the nodes and theta take Gauss-Legendre
+    panels, enough to resolve lam Phi, the peak and the distance to a zero of
+    g.  Next to z, p ~ tau^(a-1) in tau = t - z, a = lam (theta - z) / g'(z):
+    the panels shrink geometrically to tau_c = w 4^-20, w the first gap, and
+    below tau_c p integrates as the power law, to p(tau_c) tau_c / a.  Points
+    lie at t = t0 + tau from a gap's left end t0, keeping tau = t - z and h
+    near a zero of h precise; Phi is taken from the gap's right end.
+    """
+    zero = (h <= 0.0) | (nodes == 0.0) | (nodes == 1.0)
+    z = int(np.flatnonzero(zero & (nodes < theta))[-1])
+    far = nodes[np.flatnonzero(zero & (nodes > theta))[0]]
+    ends = np.append(nodes[z:][nodes[z:] < theta], theta)    # gap ends, z first
+    h_ends = np.interp(ends, nodes, h)
+    slope = np.diff(h) / np.diff(nodes)                # the line of h
+    seg = np.searchsorted(nodes, 0.5 * (ends[1:] + ends[:-1])) - 1
+    alpha0 = (h[:-1] - nodes[:-1] * slope)[seg]        # per gap, at 0
+    alpha1 = (h[:-1] + (1.0 - nodes[:-1]) * slope)[seg]    # and at 1
+    slope = slope[seg]
+    k = len(ends) - 1
+    geo = (ends[1] - ends[0]) * 4.0 ** np.arange(-20, 1)    # the edge panels
+    gap = np.append(np.zeros(len(geo) - 1, int), np.arange(1, k))  # per piece
+    lo = np.append(geo[:-1], np.zeros(k - 1))
+    hi = np.append(geo[1:], np.diff(ends)[1:])
+    lam_phi = np.zeros(k + 1)
+
+    def at(gap, tau):
+        """lam Phi and g at t = ends[gap] + tau."""
+        u, v, j = ends[gap] + tau, (1.0 - ends[gap]) - tau, gap + 1
+        h_t = h_ends[gap] + slope[gap] * tau
+        phi = (theta * _log_integral(alpha0[gap], ends[j], u, h_ends[j], h_t)
+               + (1.0 - theta) * _log_integral(alpha1[gap], 1.0 - ends[j], v,
+                                               h_ends[j], h_t))
+        return lam_phi[j] + lam * phi, u * v * h_t
+
+    # lam Phi at the gaps' left ends, summed over the gaps up to theta
+    lam_phi[1:k] = np.cumsum(at(np.arange(1, k), 0.0)[0][::-1])[::-1]
+    (phi_lo, phi_hi), (g_lo, g_hi) = at(gap, np.array([lo, hi]))
+    t0 = ends[gap]
+    panels = 1 + np.minimum(255.0, np.abs(phi_hi - phi_lo) / 4.0 + (hi - lo)
+                            * (np.sqrt(lam / np.minimum(g_lo, g_hi)) + 1.0
+                               / np.minimum(t0 + lo - ends[0], far - t0 - hi))
+                            ).astype(int)
+    i = np.repeat(np.arange(len(gap)), panels)
+    first = np.repeat(np.cumsum(panels) - panels, panels)
+    width = ((hi - lo) / panels)[i]
+    mid = lo[i] + (np.arange(len(i)) - first + 0.5) * width
     gl_nodes, gl_weights = _gauss_legendre()
-    log_z0, log_z1 = [], []             # log int p, log int g p per piece
-    for edge, p in ((left, left + 1), (right, right - 1)):
-        depth = abs(nodes[p] - nodes[edge])
-        slope = vals[p] / depth
-        gam = lam * abs(theta - nodes[edge]) / slope
-        kd = lam * depth / slope
-        log_z0.append(psi[p] + _log_kummer1(gam + 1.0, kd)
-                      - math.log(slope * gam))
-        log_z1.append(psi[p] + math.log(depth) + _log_kummer1(gam + 2.0, kd)
-                      - math.log(gam + 1.0))
-    for a in inner[:-1]:
-        b = a + 1
-        g_lo = min(vals[a], vals[b])
-        width = nodes[b] - nodes[a]
-        panels = 1 + int(min(255.0, abs(psi[b] - psi[a]) / 4.0
-                             + width * math.sqrt(lam / g_lo)))
-        edges = np.linspace(nodes[a], nodes[b], panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        t = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * gl_nodes
-        g_t = vals[a] + (vals[b] - vals[a]) * (t - nodes[a]) / width
-        psi_t = psi[a] + lam * _phi_step(nodes[a], t, vals[a], g_t, theta)
-        log_w = np.log(half * gl_weights)
-        log_z1.append(logsumexp(psi_t + log_w))
-        log_z0.append(logsumexp(psi_t + log_w - np.log(g_t)))
-    return float(math.exp(logsumexp(log_z1) - logsumexp(log_z0)))
+    lam_phi_t, g_t = at(gap[i][:, None],
+                        mid[:, None] + 0.5 * width[:, None] * gl_nodes)
+    log_w = (np.log(0.5 * width[:, None] * gl_weights) + lam_phi_t).ravel()
+    log_z1, log_z0 = [log_w], [log_w - np.log(g_t).ravel()]
+    x = ends[0]
+    dg = (1.0 - 2.0 * x) * h_ends[0] + x * (1.0 - x) * slope[0]    # g'(z)
+    if dg > 0.0:                        # the power-law tail below tau_c
+        a = lam * (theta - x) / dg
+        log_tau = math.log(lo[0]) + phi_lo[0]
+        log_z1.append([log_tau - math.log(a + 1.0)])
+        log_z0.append([log_tau - math.log(g_lo[0]) - math.log(a)])
+    return np.concatenate(log_z1), np.concatenate(log_z0)

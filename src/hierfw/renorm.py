@@ -28,7 +28,9 @@ The CLI computes the map F itself without sampling
 r = E c / e >= 1/32, by a Richardson-extrapolated upwind Markov chain on an
 (x, y) grid; below, by the averaged one-dimensional law of the weighted
 mean u, whose speed-measure density is explicit.  ``backend="mc"`` samples
-the equilibria as above and stays the independent cross-check.
+the equilibria as above and stays the independent cross-check.  Either way
+F g is stored by its node values as g = x(1-x) h (``DiffusionFn.from_g``),
+so the Fisher-Wright orbit stays in its family on any grid.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .diffusion import DiffusionFn, GridFunction, g_fw
+from .diffusion import DiffusionFn, g_fw
 from .params import ClusteringCoefficients, DerivedParams, ModelParams
 
 
@@ -93,13 +95,9 @@ class _PairIntegrator:
         self.E, self.c, self.K, self.e, self.g = E, c, K, e, g
         self.r_fast = E * K * e + e
         self.r_slow = E * c / (1.0 + E * K)
-        # curvature proxy 4 * max(g): robust against Monte Carlo jitter in
-        # tabulated iterates, unlike the grid's finite-difference Lipschitz
-        if g.kind == "grid":
-            g_scale = 4.0 * float(np.max(g.grid.values))
-        else:
-            g_scale = g.d
-        kick_rate = E * E * max(g_scale, 1e-12) / (1.0 + E * K) ** 2
+        # noise scale max(h) >= 4 max(g), d for Fisher-Wright: robust against
+        # Monte Carlo jitter in tabulated iterates, unlike a Lipschitz bound
+        kick_rate = E * E * max(float(np.max(g.h)), 1e-12) / (1.0 + E * K) ** 2
         # resolve the slow relaxation and the noise, and keep the per-step
         # variance injection moderate so the splitting of drift against
         # noise stays accurate
@@ -295,8 +293,7 @@ def evaluate_F(g: DiffusionFn, E: float, c: float, K: float, e: float,
     values = np.concatenate([[0.0], fg, [0.0]])
     # Monte Carlo noise (or the Richardson step) may leave slightly negative
     # node values; they estimate a non-negative quantity, so clip.
-    fn = DiffusionFn(kind="grid",
-                     grid=GridFunction(theta_grid, np.maximum(values, 0.0)))
+    fn = DiffusionFn.from_g(theta_grid, np.maximum(values, 0.0))
     return FGrid(fn=fn, se=np.concatenate([[0.0], se, [0.0]]),
                  flags=np.concatenate([[False], flags, [False]]))
 
@@ -330,14 +327,6 @@ class OrbitReport:
     grids: list                   # F^(n) g as DiffusionFn per level
     flags: np.ndarray             # (n_levels, nodes): stationarity flags
 
-    @property
-    def flagged(self) -> bool:
-        return bool(self.flags.any())
-
-    def flagged_nodes(self) -> list:
-        """Indices of the flagged grid nodes, one list per level."""
-        return [np.flatnonzero(f).tolist() for f in self.flags]
-
     def csv_rows(self):
         return [(int(n), float(a), float(s))
                 for n, a, s in zip(self.levels, self.A, self.sup_distance)]
@@ -364,7 +353,7 @@ def iterate_F_scaled(g: DiffusionFn, params: ModelParams,
                          label=f"orbit-{n}", backend=backend)
         current = res.fn
         A_n = coefficients.A[n]
-        vals = A_n * res.fn.grid.values
+        vals = A_n * current(grid)
         rows.append(vals)
         ses.append(A_n * res.se)
         sups.append(float(np.max(np.abs(vals - fw_ref))))

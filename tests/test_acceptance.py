@@ -105,7 +105,7 @@ def test_criterion_02_fw_closure():
     expect = d1 * g_fw(grid)
     ok = True
     for j in range(1, len(grid) - 1):
-        ok &= abs(res.fn.grid.values[j] - expect[j]) < 3 * res.se[j]
+        ok &= abs(res.fn(grid)[j] - expect[j]) < 3 * res.se[j]
     mid = res.fn(0.5)
     j_mid = 4
     ok_mid = abs(mid - 3.0 / 16.0) < 3 * res.se[j_mid]

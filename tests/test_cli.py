@@ -188,15 +188,15 @@ def test_renorm_orbit_matches_oracle(tmp_path):
         assert np.max(np.abs(vals - expect)) < 0.01
 
 
-def test_renorm_orbit_reports_flags_per_level(tmp_path):
+def test_renorm_orbit_summary_keys(tmp_path):
     text = CHEAP_RENORM_CFG.replace("depth: 1", "depth: 2")
     out = tmp_path / "o"
     assert run(["renorm-orbit", "--config", write_cfg(tmp_path, text),
                 "--out", out, "--quiet"]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    # the orbit is computed without sampling, so no node is flagged
-    assert summary["flagged_nodes"] == [[], []]
-    assert summary["flagged"] is False
+    # the orbit is computed without sampling: no stationarity flags
+    assert sorted(summary) == ["A", "depth", "sup_distance"]
+    assert len(summary["A"]) == len(summary["sup_distance"]) == 2
 
 
 @pytest.mark.parametrize("command,cfg_text", [
@@ -309,6 +309,9 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("duality-check", ("replicas: 4000", "replicas: true"), "run.replicas"),
     ("classify", ("N: 2", "N: 2.7"), "invalid model block"),
     ("classify", ("levels: 0", "levels: 0.9"), "invalid model block"),
+    # the orbit of interaction-chain is computed on run.grid_size nodes too
+    ("interaction-chain", (TWO_COLONY_CFG, CHEAP_RENORM_CFG.replace(
+        "grid_size: 5", "grid_size: 0")), "theta grid"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))

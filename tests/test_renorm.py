@@ -8,7 +8,7 @@ import pytest
 from hierfw import exact as X
 from hierfw import params as P
 from hierfw import renorm as R
-from hierfw.diffusion import fisher_wright, g_fw, grid_from_callable
+from hierfw.diffusion import DiffusionFn, fisher_wright, g_fw, grid_from_callable
 
 FW = fisher_wright(1.0)
 QUARTIC = grid_from_callable(lambda x: (x * (1 - x)) ** 2)
@@ -21,6 +21,26 @@ def clustering_params(levels=9):
 
 
 SMALL = R.EquilibriumBudget(n_replicas=64, burn=15, sample=40)
+
+
+# ----------------------------------------------------------------------
+# diffusion functions g = x(1-x) h
+# ----------------------------------------------------------------------
+
+
+def test_from_g_keeps_node_values_and_fisher_wright():
+    # the given g at the nodes, and h = d for d x(1-x) on any grid, to the
+    # rounding of one division
+    rng = np.random.default_rng(0)
+    for nodes in (np.linspace(0, 1, 7),
+                  np.concatenate([[0.0], np.sort(rng.random(12)), [1.0]])):
+        values = np.concatenate([[0.0], rng.random(len(nodes) - 2), [0.0]])
+        g = DiffusionFn.from_g(nodes, values)
+        assert np.allclose(g(nodes), values, rtol=1e-15, atol=0.0)
+        for d in (0.5, 0.3):
+            h = DiffusionFn.from_g(nodes, d * g_fw(nodes)).h
+            assert np.all(np.abs(h - d) <= np.spacing(d))
+            assert len(h) == len(nodes)
 
 
 # ----------------------------------------------------------------------
@@ -149,15 +169,15 @@ def test_theta_out_of_range_rejected():
 def test_F_of_zero_is_zero():
     grid = np.linspace(0, 1, 9)
     res = R.evaluate_F(fisher_wright(0.0), 1, 1, 1, 1, grid, SMALL, seed=7)
-    assert np.allclose(res.fn.grid.values, 0.0, atol=1e-12)
+    assert np.allclose(res.fn(grid), 0.0, atol=1e-12)
 
 
 def test_F_endpoints_exact_zero():
     grid = np.linspace(0, 1, 9)
     res = R.evaluate_F(FW, 1, 1, 1, 1, grid, SMALL, seed=8)
-    assert res.fn.grid.values[0] == 0.0
-    assert res.fn.grid.values[-1] == 0.0
-    assert np.all(res.fn.grid.values >= 0.0)
+    assert res.fn(grid)[0] == 0.0
+    assert res.fn(grid)[-1] == 0.0
+    assert np.all(res.fn(grid) >= 0.0)
 
 
 def test_F_grid_requires_endpoints():
@@ -178,7 +198,7 @@ def test_F_on_fw_family_matches_recursion():
     d1 = R.fw_recursion_oracle(1.0, 1, co)[1]
     expect = d1 * g_fw(grid)
     for j in range(1, len(grid) - 1):
-        assert abs(res.fn.grid.values[j] - expect[j]) < 3 * res.se[j] + 5e-4
+        assert abs(res.fn(grid)[j] - expect[j]) < 3 * res.se[j] + 5e-4
 
 
 def test_default_theta_grid_shape():
@@ -215,8 +235,9 @@ def test_exact_F_matches_fw_recursion(grid):
         assert rel.max() <= 5e-3, (lvl, method, rel.max())
 
 
-def _averaged_by_trapezoid(nodes, values, lam, theta, n=200_001):
-    """The averaged law's E[g(u)] by the trapezoid rule on each half of [0,1].
+def _averaged_by_trapezoid(nodes, h, lam, theta, n=200_001):
+    """The averaged law's E[g(u)] by the trapezoid rule on each half of [0,1],
+    for g = x(1-x) h with h linear between the nodes.
 
     Near an edge the density behaves like tau^(gamma-1), tau the distance to
     the edge; tau = s^m / 2 with m >= 2/gamma makes the integrand regular in
@@ -227,14 +248,12 @@ def _averaged_by_trapezoid(nodes, values, lam, theta, n=200_001):
     s = np.linspace(0.0, 1.0, n)[1:]
     parts = []
     # each half in its distance tau from the edge: u = tau, resp. 1 - tau
-    for dist, tau_nodes, tau_values in ((theta, nodes, values),
-                                        (1.0 - theta, 1.0 - nodes[::-1],
-                                         values[::-1])):
-        slope = tau_values[1] / tau_nodes[1]
-        m = max(4.0, 2.0 * slope / (lam * dist))
+    for dist, tau_nodes, tau_h in ((theta, nodes, h),
+                                   (1.0 - theta, 1.0 - nodes[::-1], h[::-1])):
+        m = max(4.0, 2.0 * tau_h[0] / (lam * dist))   # g'(edge) = h(edge)
         tau = 0.5 * s ** m
         jac = 0.5 * m * s ** (m - 1)              # |du/ds|
-        g = np.interp(tau, tau_nodes, tau_values)
+        g = tau * (1.0 - tau) * np.interp(tau, tau_nodes, tau_h)
         pos = g > 1e-300         # far below the mass for gamma >= 0.02
         g = np.where(pos, g, 1.0)
         f = np.where(pos, (dist - tau) / g * jac, 0.0)    # dPhi/ds
@@ -254,17 +273,19 @@ def _averaged_by_trapezoid(nodes, values, lam, theta, n=200_001):
 def test_averaged_grid_law_matches_quadrature(lam):
     nodes = np.linspace(0, 1, 11)
     for values in (0.7 * g_fw(nodes), (nodes * (1 - nodes)) ** 2):
+        h = DiffusionFn.from_g(nodes, values).h
         for theta in (0.03, 0.5, 0.77):
-            got = X._averaged_grid(nodes, values, lam, theta)
-            ref = _averaged_by_trapezoid(nodes, values, lam, theta)
+            got = X._averaged_grid(nodes, h, lam, theta)
+            ref = _averaged_by_trapezoid(nodes, h, lam, theta)
             assert got == pytest.approx(ref, rel=1e-6)
 
 
 def test_averaged_law_of_fine_fw_table_is_beta():
     # a 4097-node table of d x(1-x) against the Beta closed form
     nodes = np.linspace(0, 1, 4097)
+    h = DiffusionFn.from_g(nodes, 0.5 * g_fw(nodes)).h
     for lam, theta in ((0.05, 0.03), (0.3, 0.2), (8.0, 0.6)):
-        got = X._averaged_grid(nodes, 0.5 * g_fw(nodes), lam, theta)
+        got = X._averaged_grid(nodes, h, lam, theta)
         beta = X._averaged_mean_g(fisher_wright(0.5), lam, theta)
         assert got == pytest.approx(beta, rel=2e-3)
 
@@ -274,7 +295,7 @@ def test_exact_F_of_zero_is_zero():
     for E, c, K, e in ((1, 1, 1, 1), (0.01, 0.25, 4, 1)):
         res = R.evaluate_F(fisher_wright(0.0), E, c, K, e, grid, SMALL, seed=0,
                            backend="exact")
-        assert np.all(res.fn.grid.values == 0.0)
+        assert np.all(res.fn(grid) == 0.0)
         assert not res.flags.any() and np.all(res.se == 0.0)
 
 
@@ -295,8 +316,8 @@ def test_mc_orbit_keeps_flags_per_level_and_node():
     orbit = R.iterate_F_scaled(FW, mp, der, co, 2, budget, seed=6,
                                theta_grid=np.linspace(0, 1, 5))
     assert orbit.flags.shape == (2, 5)
-    assert orbit.flagged
-    nodes = orbit.flagged_nodes()
+    assert orbit.flags.any()
+    nodes = [np.flatnonzero(f).tolist() for f in orbit.flags]
     assert len(nodes) == 2 and any(nodes)
     assert all(0 < j < 4 for level in nodes for j in level)
 
@@ -314,8 +335,8 @@ def test_exact_F_agrees_with_mc_on_quartic_orbit():
         rates = (float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl])
         exact = R.evaluate_F(g, *rates, grid, budget, seed=0, backend="exact")
         mc = R.evaluate_F(g, *rates, grid, budget, seed=60 + lvl)
-        gap = np.abs(exact.fn.grid.values - mc.fn.grid.values)
-        assert np.all(gap <= 3 * mc.se + 5e-3 * exact.fn.grid.values), lvl
+        gap = np.abs(exact.fn(grid) - mc.fn(grid))
+        assert np.all(gap <= 3 * mc.se + 5e-3 * exact.fn(grid)), lvl
         g = exact.fn
 
 
@@ -373,6 +394,19 @@ def test_orbit_fw_matches_oracle():
         exact = co.A[n] * d_seq[n] * g_fw(grid)
         gaps = np.abs(orbit.scaled_values[n - 1] - exact)
         assert np.all(gaps < 3 * orbit.scaled_se[n - 1] + 4e-3)
+
+
+def test_exact_orbit_from_fw_stays_in_family():
+    # F^(n) g_FW = d_n g_FW, so sup|A_n F^(n) g_FW - g_FW| (1 + A_n) = 1/4 at
+    # every depth; on 21 uniform nodes the exact orbit keeps it to 0.005
+    mp = clustering_params()
+    der = P.derive(mp)
+    co = P.compute_A(mp, der, 10)
+    orbit = R.iterate_F_scaled(FW, mp, der, co, 8, SMALL, seed=0,
+                               theta_grid=np.linspace(0, 1, 21),
+                               backend="exact")
+    scaled = orbit.sup_distance * (1.0 + orbit.A)
+    assert np.all(np.abs(scaled - 0.25) <= 0.005), scaled
 
 
 @pytest.mark.slow
