@@ -137,8 +137,10 @@ def _build_g(spec) -> DiffusionFn:
     spec = _mapping(spec, "model.g")
     kind = spec.get("kind", "fisher_wright")
     if kind == "fisher_wright":
+        _check_keys(spec, {"kind", "d"}, "model.g")
         return fisher_wright(_number(spec.get("d", 1.0)))
     if kind == "grid":
+        _check_keys(spec, {"kind", "nodes", "values"}, "model.g")
         return DiffusionFn.from_g(_floats(spec["nodes"]),
                                   _floats(spec["values"]))
     raise ConfigError(f"unknown diffusion kind {kind!r}")
@@ -148,9 +150,12 @@ def _build_family(spec):
     spec = _mapping(spec, "model.family")
     kind = spec.get("kind")
     if kind == "exponential":
+        _check_keys(spec, {"kind", "K", "e", "c"}, "model.family")
         return params.ExponentialFamily(
             K=_number(spec["K"]), e=_number(spec["e"]), c=_number(spec["c"]))
     if kind == "polynomial":
+        _check_keys(spec, {"kind", "alpha", "beta", "phi", "A", "B", "F"},
+                    "model.family")
         return params.PolynomialFamily(
             alpha=_number(spec["alpha"]), beta=_number(spec["beta"]),
             phi=_number(spec["phi"]), A=_number(spec.get("A", 1.0)),

@@ -13,8 +13,8 @@ pair at a colony coalesces at rate d.
 
 The moment duality  E_z[ H(z(t), l) ] = E_l[ H(z, L(t)) ]  with
 H(z, l) = prod_sites z^l is checked Monte Carlo against Monte Carlo, with the
-dual side cross-checkable by exact exponentiation of the count-CTMC generator
-on small systems.
+dual side cross-checkable on small systems by the exact exponential of the
+count-CTMC generator, computed by uniformisation (``forward._generator_exp``).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .forward import (SizeError, SystemState, _mean_se, ensemble_reduce,
-                      lineage_generator)
+from .forward import (SizeError, SystemState, _generator_exp, _mean_se,
+                      ensemble_reduce, lineage_generator)
 from .params import ModelParams, derive, wakeup_sampler
 
 
@@ -286,12 +286,13 @@ def _count_chain(params: ModelParams, z: SystemState,
 
 def exact_dual_moment(params: ModelParams, z: SystemState, cfg0: DualConfig,
                       t: float) -> float:
-    """E[H(z, L(t))] by exponentiating the count-CTMC generator."""
-    from scipy.linalg import expm  # scipy.linalg loads on first use
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    """E[H(z, L(t))] from exp(Q t) of the count-CTMC generator Q.
+
+    The exponential is ``forward._generator_exp``; a negative t raises
+    ValueError.
+    """
     Q, start, H = _count_chain(params, z, cfg0)
-    return float(expm(Q * t)[start] @ H)
+    return float(_generator_exp(Q, t)[start] @ H)
 
 
 def _next_states(cum_rows: np.ndarray, u: np.ndarray,

@@ -194,6 +194,7 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
     """
     W, C = x.shape
     N, dt, R1 = ctx.N, ctx.dt, ctx.drift_tails[0]
+    coarse_levels = len(ctx.drift_tails) > 1     # else the coarse drift is 0
     rows = W // len(rngs)
     span = max(N, _TILE // W // N * N)     # whole level-1 blocks per tile
     normals = np.empty_like(x)
@@ -207,7 +208,8 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
             blocks = slice(lo // N, (lo + span) // N)
             inc = m1[:, blocks, None] - xt.reshape(W, -1, N)
             inc *= R1
-            inc += coarse[:, blocks, None]
+            if coarse_levels:
+                inc += coarse[:, blocks, None]
             inc = inc.reshape(W, -1)
             dy = ctx.g(xt)
             np.maximum(dy, 0.0, out=dy)
@@ -445,19 +447,49 @@ def lineage_generator(params: ModelParams) -> np.ndarray:
     return Q
 
 
+def _generator_exp(Q: np.ndarray, t: float) -> np.ndarray:
+    """exp(Q t) of a CTMC generator Q, by uniformisation with squaring.
+
+    With lam the largest exit rate, P = I + Q / lam is stochastic and
+    exp(Q s) = e^(-u) sum_k u^k / k! P^k with u = lam s.  The series is
+    summed at s = t / 2^j, the least j with u <= 1/2, where its 16 terms
+    leave a remainder below 1e-18, and the result is squared j times.  Every
+    term is non-negative, so no cancellation occurs.
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    n = Q.shape[0]
+    lam = float(np.max(-Q.diagonal(), initial=0.0))
+    if lam * t == 0.0:
+        return np.eye(n)
+    squarings = max(0, math.ceil(math.log2(2.0 * lam * t)))
+    u = lam * t / 2.0 ** squarings
+    P = Q / lam
+    P[np.diag_indices(n)] += 1.0
+    term = np.eye(n)
+    E = term.copy()
+    for k in range(1, 16):
+        term = term @ P
+        term *= u / k
+        E += term
+    E *= math.exp(-u)
+    for _ in range(squarings):
+        E = E @ E
+    return E
+
+
 def first_moment_oracle(params: ModelParams, state: SystemState,
                         t: float) -> SystemState:
     """Exact per-site expectations E[z_(xi,R)(t)] by generator exponentiation.
 
     The first moments of the system follow the linear flow of the single
-    dual lineage, so exp(Q t) applied to the flattened state is an exact
-    oracle for forward ensemble means.
+    dual lineage, so exp(Q t), computed by ``_generator_exp``, applied to
+    the flattened state is an exact oracle for forward ensemble means.
     """
-    from scipy.linalg import expm  # scipy.linalg loads on first use
     C, M = params.n_colonies, params.levels + 1
     Q = lineage_generator(params)
     z0 = np.concatenate([state.x, state.y.reshape(M * C)])
-    zt = expm(Q * t) @ z0
+    zt = _generator_exp(Q, t) @ z0
     return SystemState(zt[:C], zt[C:].reshape(M, C), state.time + t)
 
 

@@ -312,6 +312,12 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     # the orbit of interaction-chain is computed on run.grid_size nodes too
     ("interaction-chain", (TWO_COLONY_CFG, CHEAP_RENORM_CFG.replace(
         "grid_size: 5", "grid_size: 0")), "theta grid"),
+    # the keys of model.g and model.family are checked per kind
+    ("simulate-forward", ("d: 1.0\n  d: 1.0", "D: 2.0\n  d: 1.0"),
+     "unknown keys in model.g: ['D']"),
+    ("classify", (TWO_COLONY_CFG, CLUSTERING_CFG.replace(
+        "c: 0.25", "c: 0.25\n    alpha: 7")),
+     "unknown keys in model.family: ['alpha']"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -359,9 +365,9 @@ print(json.dumps(sorted(m for m in sys.modules
     # the forward engine and a chain-only orbit (levels 0 and 1) call no scipy
     ([("simulate-forward", TWO_COLONY_CFG), ("renorm-orbit", CHEAP_RENORM_CFG)],
      set()),
-    # the exact oracles still import what they call
-    ([("duality-check", TWO_COLONY_CFG.replace("replicas: 4000", "replicas: 200"))],
-     {"scipy.linalg"}),
+    # the exact oracles exponentiate by uniformisation, without scipy.linalg
+    ([("duality-check", TWO_COLONY_CFG.replace("replicas: 4000", "replicas: 200")),
+      ("simulate-forward", TWO_COLONY_CFG)], set()),
     ([("classify", CLUSTERING_CFG)], {"scipy.special"}),
 ])
 def test_scipy_submodules_load_on_first_use(tmp_path, runs, loads):

@@ -178,6 +178,29 @@ def test_single_lineage_marginal_matches_semigroup():
     assert tv < 0.02
 
 
+@pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 2.3, 50.0])
+def test_generator_exp_matches_expm(t):
+    # the oracles' uniformised exponential against scipy's Pade expm, on two
+    # lineage generators and criterion 6's count chain
+    mp = two_colony()
+    wide = P.ModelParams(N=3, levels=1, c=(1.0, 0.5), e=(0.7, 0.3),
+                         K=(1.3, 2.0), g=fisher_wright(2.0))
+    count_chain, _, _ = D._count_chain(mp, z_state(),
+                                       D.DualConfig.actives(mp, {0: 2}))
+    for Q in (F.lineage_generator(mp), F.lineage_generator(wide), count_chain):
+        E = F._generator_exp(Q, t)
+        assert np.abs(E - expm(Q * t)).max() <= 1e-13
+        assert E.min() >= 0.0
+        assert np.abs(E.sum(axis=1) - 1.0).max() <= 1e-12
+        if t == 0.0:
+            assert np.array_equal(E, np.eye(len(Q)))
+
+
+def test_generator_exp_refuses_negative_time():
+    with pytest.raises(ValueError, match="non-negative"):
+        F._generator_exp(F.lineage_generator(two_colony()), -1.0)
+
+
 # ----------------------------------------------------------------------
 # duality
 # ----------------------------------------------------------------------
