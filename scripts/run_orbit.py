@@ -1,11 +1,11 @@
 """Universality orbit experiment.
 
-Iterates the renormalisation map on g(x) = x^2 (1-x)^2 in a clustering and a
-coexistence configuration with the exact backend and prints the scaled
+Iterates the renormalisation map exactly on g(x) = x^2 (1-x)^2 in a
+clustering and a coexistence configuration and prints the scaled
 sup-distance to the Fisher-Wright function per level.  At levels 1 to 3 it
-also evaluates the same F with the Monte Carlo backend, on the same input
-F^(n-1) g, and prints the largest |exact - MC| over the nodes next to MC's
-standard error at that node.  Writes orbit CSVs into out/orbit/.
+also samples the same F (``renorm.sample_F``), on the same input F^(n-1) g,
+and prints the largest |exact - MC| over the nodes next to MC's standard
+error at that node.  Writes orbit CSVs into out/orbit/.
 """
 
 import pathlib
@@ -31,8 +31,7 @@ def run(name, family, depth, seed):
     g0 = grid_from_callable(lambda x: (x * (1 - x)) ** 2)
     budget = renorm.EquilibriumBudget(n_replicas=96, burn=15, sample=80)
     grid = np.linspace(0, 1, 21)
-    orbit = renorm.iterate_F_scaled(g0, mp, der, co, depth, budget, seed,
-                                    theta_grid=grid, backend="exact")
+    orbit = renorm.iterate_F_scaled(g0, mp, der, co, depth, grid)
     print(f"\n{name}  (K={family.K}, e={family.e}, c={family.c})")
     print("level   A_n        sup|A_n F^n g - g_FW|  method     "
           "max|exact - MC|  MC SE")
@@ -43,8 +42,7 @@ def run(name, family, depth, seed):
         line = (f"{n:5d}   {a:9.4f}  {s:.4f}                 "
                 f"{exact.exact_method(rates[0], rates[1], rates[3]):9s}")
         if n <= MC_LEVELS:
-            mc = renorm.evaluate_F(inputs[lvl], *rates, grid, budget, seed,
-                                   label=f"check-{n}")
+            mc = renorm.sample_F(inputs[lvl], *rates, grid, budget, seed)
             gap = np.abs(orbit.grids[lvl](grid) - mc.fn(grid))
             j = int(np.argmax(gap))
             line += f"  {gap[j]:.2e}         {mc.se[j]:.2e}"

@@ -400,11 +400,9 @@ def cmd_renorm_orbit(job: Job) -> tuple:
     depth = run.get("depth", 5)
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, min(mp.levels + 1, depth + 1))
-    # the exact backend ignores the sampling budget, which is still checked
+    _budget(run)      # the exact orbit samples nothing; the budget is checked
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth,
-                                    _budget(run), job.seed,
-                                    theta_grid=_theta_grid(run),
-                                    backend="exact")
+                                    _theta_grid(run))
     files = [write_csv(out / "orbit.csv", "level,A_n,sup_distance",
                        orbit.csv_rows())]
     for i, level in enumerate(orbit.levels):
@@ -424,13 +422,14 @@ def cmd_interaction_chain(job: Job) -> tuple:
         raise ConfigError("interaction-chain needs an init block")
     depth = run.get("depth", 4)
     n_replicas = run.get("replicas", 10_000)
+    if n_replicas < 2:
+        raise ConfigError("interaction-chain needs run.replicas >= 2 for "
+                          "its variances")
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, depth + 2)
     budget = _budget(run)
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth + 1,
-                                    budget, job.seed,
-                                    theta_grid=_theta_grid(run),
-                                    backend="exact")
+                                    _theta_grid(run))
     g_orbit = [mp.g] + orbit.grids
     chain = renorm.sample_interaction_chain(depth, mp, derived, g_orbit,
                                             n_replicas, budget, job.seed)

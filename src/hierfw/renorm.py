@@ -23,21 +23,22 @@ Sampled equilibrium moments are long-run time averages over independent
 replicas (with a split-half stationarity check); an endpoint mode returning
 one independent draw per replica drives the interaction chain.
 
-The CLI computes the map F itself without sampling
-(``backend="exact"`` of ``evaluate_F``, see ``hierfw.exact``): where
-r = E c / e >= 1/32, by a Richardson-extrapolated upwind Markov chain on an
-(x, y) grid; below, by the averaged one-dimensional law of the weighted
-mean u, whose speed-measure density is explicit.  ``backend="mc"`` samples
-the equilibria as above and stays the independent cross-check.  Either way
-F g is stored by its node values as g = x(1-x) h (``DiffusionFn.from_g``),
-so the Fisher-Wright orbit stays in its family on any grid.
+The map F itself is computed without sampling (``evaluate_F``, see
+``hierfw.exact``): where r = E c / e >= 1/32, by a Richardson-extrapolated
+upwind Markov chain on an (x, y) grid; below, by the averaged
+one-dimensional law of the weighted mean u, whose speed-measure density is
+explicit.  The orbit ``iterate_F_scaled`` composes it.  ``sample_F``
+samples the equilibria as above and stays the independent per-level
+cross-check.  Either way F g is stored by its node values as g = x(1-x) h
+(``DiffusionFn.from_g``), so the Fisher-Wright orbit stays in its family on
+any grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -180,19 +181,11 @@ def mv_equilibrium(E: float, c: float, K: float, e: float, g: DiffusionFn,
                        budget, rng)[0]
 
 
-def mv_equilibrium_batch(E, c, K, e, g, thetas: np.ndarray,
-                         budget: EquilibriumBudget, seed: int,
-                         label: str = "F") -> list:
-    """mv_equilibrium for many drift centres in one vectorised run."""
-    thetas = np.asarray(thetas, dtype=float)
-    rng = rngmod.stream(seed, label, "grid", *[f"{t:.17g}" for t in thetas])
-    return _equilibria(E, c, K, e, g, thetas, budget, rng)
-
-
 def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
                 rng) -> list:
-    """Sampler behind both public entry points: burn-in, then time averages
-    of R replicas per drift centre, advanced together as (n, R) arrays."""
+    """Sampler behind ``mv_equilibrium`` and ``sample_F``: burn-in, then time
+    averages of R replicas per drift centre, advanced together as (n, R)
+    arrays."""
     integ = _PairIntegrator(E, c, K, e, g, budget.dt_factor)
     R = budget.n_replicas
     theta_col = thetas[:, None]
@@ -242,60 +235,63 @@ def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
 # The renormalisation map
 # ----------------------------------------------------------------------
 
-BACKENDS = ("exact", "mc")
-
-
-def default_theta_grid() -> np.ndarray:
-    """41 Chebyshev-like interior nodes plus the exact endpoints."""
-    k = np.arange(1, 42)
-    interior = 0.5 * (1.0 - np.cos(np.pi * k / 42))
-    return np.concatenate([[0.0], interior, [1.0]])
-
-
 @dataclass
 class FGrid:
-    """Evaluation of F g on a grid, with per-node standard errors and
-    stationarity flags (zero and False without sampling)."""
+    """Sampled evaluation of F g on a grid, with per-node standard errors and
+    stationarity flags."""
 
     fn: DiffusionFn
     se: np.ndarray
     flags: np.ndarray
 
 
-def evaluate_F(g: DiffusionFn, E: float, c: float, K: float, e: float,
-               theta_grid: np.ndarray, budget: EquilibriumBudget,
-               seed: int, label: str = "F", backend: str = "mc") -> FGrid:
-    """(F g)(theta) = E^{Gamma_theta}[g(x)] at each grid node.
+def _on_grid(theta_grid, interior_F) -> tuple:
+    """Check a theta grid and evaluate F g on it.
 
-    ``backend`` "mc" samples the equilibria with ``budget`` and ``seed``;
-    "exact" computes them with ``exact.exact_F`` and ignores both.
-    Endpoints are pinned to zero exactly (the equilibrium at theta in {0,1}
-    is degenerate at the boundary where g vanishes), so the result is again
-    an admissible diffusion function.
+    ``interior_F(nodes)`` returns per-node arrays at the interior nodes, F g
+    first.  Each is pinned to zero (False for flags) at the endpoints: the
+    equilibrium at theta in {0,1} is degenerate at the boundary where g
+    vanishes.  F g is clipped at zero, since Monte Carlo noise or the
+    Richardson step may leave slightly negative estimates of a non-negative
+    quantity, and returned as a DiffusionFn, so the result is again an
+    admissible diffusion function.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of "
-                         f"{', '.join(BACKENDS)}")
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    if theta_grid.size < 2 or theta_grid[0] != 0.0 or theta_grid[-1] != 1.0:
-        raise ValueError("theta grid must include the endpoints 0 and 1")
-    interior = theta_grid[1:-1]
-    if backend == "exact":
-        from .exact import exact_F     # only processes that use it compile it
-        fg = exact_F(g, E, c, K, e, interior)
-        se = np.zeros_like(fg)
-        flags = np.zeros(len(fg), dtype=bool)
-    else:
-        ests = mv_equilibrium_batch(E, c, K, e, g, interior, budget, seed, label)
-        fg = np.array([m.fg for m in ests])
-        se = np.array([m.se["fg"] for m in ests])
-        flags = np.array([m.flagged for m in ests], dtype=bool)
-    values = np.concatenate([[0.0], fg, [0.0]])
-    # Monte Carlo noise (or the Richardson step) may leave slightly negative
-    # node values; they estimate a non-negative quantity, so clip.
-    fn = DiffusionFn.from_g(theta_grid, np.maximum(values, 0.0))
-    return FGrid(fn=fn, se=np.concatenate([[0.0], se, [0.0]]),
-                 flags=np.concatenate([[False], flags, [False]]))
+    grid = np.asarray(theta_grid, dtype=float)
+    if grid.size < 3 or grid[0] != 0.0 or grid[-1] != 1.0:
+        raise ValueError("theta grid must include the endpoints 0 and 1 "
+                         "and at least one interior node")
+
+    def pinned(values):
+        values = np.asarray(values)
+        full = np.zeros(grid.size, values.dtype)
+        full[1:-1] = values
+        return full
+
+    fg, *rest = map(pinned, interior_F(grid[1:-1]))
+    return (DiffusionFn.from_g(grid, np.maximum(fg, 0.0)), *rest)
+
+
+def evaluate_F(g: DiffusionFn, E: float, c: float, K: float, e: float,
+               theta_grid: np.ndarray) -> DiffusionFn:
+    """(F g)(theta) = E^{Gamma_theta}[g(x)] at each grid node, computed by
+    ``exact.exact_F`` without sampling."""
+    from .exact import exact_F     # only processes that use it compile it
+    return _on_grid(theta_grid,
+                    lambda nodes: (exact_F(g, E, c, K, e, nodes),))[0]
+
+
+def sample_F(g: DiffusionFn, E: float, c: float, K: float, e: float,
+             theta_grid: np.ndarray, budget: EquilibriumBudget,
+             seed: int) -> FGrid:
+    """F g at each grid node by sampling the equilibria with ``budget``: the
+    Monte Carlo cross-check of ``evaluate_F``, one level at a time."""
+    def moments(nodes):
+        rng = rngmod.stream(seed, "F", "grid", *[f"{t:.17g}" for t in nodes])
+        ests = _equilibria(E, c, K, e, g, nodes, budget, rng)
+        return ([m.fg for m in ests], [m.se["fg"] for m in ests],
+                [m.flagged for m in ests])
+
+    return FGrid(*_on_grid(theta_grid, moments))
 
 
 def fw_recursion_oracle(d: float, levels: int,
@@ -322,10 +318,8 @@ class OrbitReport:
     A: np.ndarray                 # A_n per level
     theta_grid: np.ndarray
     scaled_values: np.ndarray     # (n_levels, nodes): A_n * (F^(n) g)
-    scaled_se: np.ndarray
     sup_distance: np.ndarray      # sup-node |A_n F^(n) g - g_FW|
     grids: list                   # F^(n) g as DiffusionFn per level
-    flags: np.ndarray             # (n_levels, nodes): stationarity flags
 
     def csv_rows(self):
         return [(int(n), float(a), float(s))
@@ -334,36 +328,28 @@ class OrbitReport:
 
 def iterate_F_scaled(g: DiffusionFn, params: ModelParams,
                      derived: DerivedParams, coefficients: ClusteringCoefficients,
-                     n_levels: int, budget: EquilibriumBudget, seed: int,
-                     theta_grid: Optional[np.ndarray] = None,
-                     backend: str = "mc") -> OrbitReport:
+                     n_levels: int, theta_grid: np.ndarray) -> OrbitReport:
     """Compute F^(n) g with level-n rates and report A_n F^(n) g vs g_FW."""
     if n_levels < 1:
         raise ValueError("orbit depth must be at least 1")
     if n_levels > params.levels + 1:
         raise ValueError("orbit depth exceeds stored coefficient range")
-    grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid)
+    grid = np.asarray(theta_grid, dtype=float)
     fw_ref = g_fw(grid)
     current = g
-    rows, ses, sups, grids, flags = [], [], [], [], []
+    rows, sups, grids = [], [], []
     for n in range(1, n_levels + 1):
         lvl = n - 1
-        res = evaluate_F(current, float(derived.E[lvl]), params.c[lvl],
-                         params.K[lvl], params.e[lvl], grid, budget, seed,
-                         label=f"orbit-{n}", backend=backend)
-        current = res.fn
-        A_n = coefficients.A[n]
-        vals = A_n * current(grid)
+        current = evaluate_F(current, float(derived.E[lvl]), params.c[lvl],
+                             params.K[lvl], params.e[lvl], grid)
+        vals = coefficients.A[n] * current(grid)
         rows.append(vals)
-        ses.append(A_n * res.se)
         sups.append(float(np.max(np.abs(vals - fw_ref))))
         grids.append(current)
-        flags.append(res.flags)
     return OrbitReport(
         levels=np.arange(1, n_levels + 1), A=coefficients.A[1:n_levels + 1],
         theta_grid=grid, scaled_values=np.asarray(rows),
-        scaled_se=np.asarray(ses), sup_distance=np.asarray(sups),
-        grids=grids, flags=np.asarray(flags),
+        sup_distance=np.asarray(sups), grids=grids,
     )
 
 

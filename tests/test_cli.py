@@ -318,6 +318,11 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("classify", (TWO_COLONY_CFG, CLUSTERING_CFG.replace(
         "c: 0.25", "c: 0.25\n    alpha: 7")),
      "unknown keys in model.family: ['alpha']"),
+    # a variance needs two replicas; a grid without interior node has no F
+    ("interaction-chain", (TWO_COLONY_CFG, CHEAP_RENORM_CFG.replace(
+        "replicas: 8", "replicas: 1")), "run.replicas >= 2"),
+    ("renorm-orbit", (TWO_COLONY_CFG, CHEAP_RENORM_CFG.replace(
+        "grid_size: 5", "grid_size: 2")), "theta grid"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))

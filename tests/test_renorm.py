@@ -21,6 +21,9 @@ def clustering_params(levels=9):
 
 
 SMALL = R.EquilibriumBudget(n_replicas=64, burn=15, sample=40)
+# 41 Chebyshev-like interior nodes plus the exact endpoints
+CHEBYSHEV43 = np.concatenate(
+    [[0.0], 0.5 * (1.0 - np.cos(np.pi * np.arange(1, 42) / 42)), [1.0]])
 
 
 # ----------------------------------------------------------------------
@@ -162,19 +165,19 @@ def test_theta_out_of_range_rejected():
 
 
 # ----------------------------------------------------------------------
-# evaluate_F
+# sample_F
 # ----------------------------------------------------------------------
 
 
 def test_F_of_zero_is_zero():
     grid = np.linspace(0, 1, 9)
-    res = R.evaluate_F(fisher_wright(0.0), 1, 1, 1, 1, grid, SMALL, seed=7)
+    res = R.sample_F(fisher_wright(0.0), 1, 1, 1, 1, grid, SMALL, seed=7)
     assert np.allclose(res.fn(grid), 0.0, atol=1e-12)
 
 
 def test_F_endpoints_exact_zero():
     grid = np.linspace(0, 1, 9)
-    res = R.evaluate_F(FW, 1, 1, 1, 1, grid, SMALL, seed=8)
+    res = R.sample_F(FW, 1, 1, 1, 1, grid, SMALL, seed=8)
     assert res.fn(grid)[0] == 0.0
     assert res.fn(grid)[-1] == 0.0
     assert np.all(res.fn(grid) >= 0.0)
@@ -182,7 +185,16 @@ def test_F_endpoints_exact_zero():
 
 def test_F_grid_requires_endpoints():
     with pytest.raises(ValueError):
-        R.evaluate_F(FW, 1, 1, 1, 1, np.linspace(0.1, 0.9, 5), SMALL, seed=9)
+        R.sample_F(FW, 1, 1, 1, 1, np.linspace(0.1, 0.9, 5), SMALL, seed=9)
+
+
+def test_F_grid_requires_an_interior_node():
+    # on [0, 1] F would be evaluated nowhere
+    grid = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="theta grid"):
+        R.evaluate_F(FW, 1, 1, 1, 1, grid)
+    with pytest.raises(ValueError, match="theta grid"):
+        R.sample_F(FW, 1, 1, 1, 1, grid, SMALL, seed=9)
 
 
 @pytest.mark.slow
@@ -193,23 +205,16 @@ def test_F_on_fw_family_matches_recursion():
     co = P.compute_A(mp, der, 2)
     grid = np.linspace(0, 1, 9)
     budget = R.EquilibriumBudget(n_replicas=192, burn=20, sample=100)
-    res = R.evaluate_F(FW, float(der.E[0]), mp.c[0], mp.K[0], mp.e[0], grid,
-                       budget, seed=10)
+    res = R.sample_F(FW, float(der.E[0]), mp.c[0], mp.K[0], mp.e[0], grid,
+                     budget, seed=10)
     d1 = R.fw_recursion_oracle(1.0, 1, co)[1]
     expect = d1 * g_fw(grid)
     for j in range(1, len(grid) - 1):
         assert abs(res.fn(grid)[j] - expect[j]) < 3 * res.se[j] + 5e-4
 
 
-def test_default_theta_grid_shape():
-    grid = R.default_theta_grid()
-    assert grid[0] == 0.0 and grid[-1] == 1.0
-    assert len(grid) == 43
-    assert np.all(np.diff(grid) > 0)
-
-
 # ----------------------------------------------------------------------
-# exact backend
+# evaluate_F
 # ----------------------------------------------------------------------
 
 # r = E_l c_l / e_l = 8^-l in the clustering family: the Markov chain on
@@ -218,7 +223,7 @@ def test_default_theta_grid_shape():
 CLUSTERING_METHODS = ["mca-21/41", "mca-41/81"] + ["averaged"] * 7
 
 
-@pytest.mark.parametrize("grid", [np.linspace(0, 1, 21), R.default_theta_grid()],
+@pytest.mark.parametrize("grid", [np.linspace(0, 1, 21), CHEBYSHEV43],
                          ids=["uniform21", "chebyshev41"])
 def test_exact_F_matches_fw_recursion(grid):
     # F (d_l g_FW) = d_{l+1} g_FW with level-l rates, to 5e-3 relative
@@ -293,33 +298,29 @@ def test_averaged_law_of_fine_fw_table_is_beta():
 def test_exact_F_of_zero_is_zero():
     grid = np.linspace(0, 1, 9)
     for E, c, K, e in ((1, 1, 1, 1), (0.01, 0.25, 4, 1)):
-        res = R.evaluate_F(fisher_wright(0.0), E, c, K, e, grid, SMALL, seed=0,
-                           backend="exact")
-        assert np.all(res.fn(grid) == 0.0)
-        assert not res.flags.any() and np.all(res.se == 0.0)
+        fn = R.evaluate_F(fisher_wright(0.0), E, c, K, e, grid)
+        assert np.all(fn(grid) == 0.0)
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="backend"):
-        R.evaluate_F(FW, 1, 1, 1, 1, np.linspace(0, 1, 5), SMALL, seed=0,
-                     backend="fast")
-
-
-def test_mc_orbit_keeps_flags_per_level_and_node():
+def test_sample_F_keeps_flags_per_node():
     # replicas started at theta and sampled at once have not spread to their
     # equilibrium variance, so interior nodes are flagged; the endpoints are
-    # pinned, never sampled, and never flagged
+    # pinned, never sampled, and never flagged.  Level 1 samples F of the
+    # level-0 result, as one step of an orbit would.
     mp = clustering_params(levels=2)
     der = P.derive(mp)
-    co = P.compute_A(mp, der, 3)
     budget = R.EquilibriumBudget(n_replicas=64, burn=0.0, sample=0.01, stride=1)
-    orbit = R.iterate_F_scaled(FW, mp, der, co, 2, budget, seed=6,
-                               theta_grid=np.linspace(0, 1, 5))
-    assert orbit.flags.shape == (2, 5)
-    assert orbit.flags.any()
-    nodes = [np.flatnonzero(f).tolist() for f in orbit.flags]
-    assert len(nodes) == 2 and any(nodes)
-    assert all(0 < j < 4 for level in nodes for j in level)
+    grid = np.linspace(0, 1, 5)
+    g = FW
+    nodes = []
+    for lvl in (0, 1):
+        res = R.sample_F(g, float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl],
+                         grid, budget, seed=6)
+        assert res.flags.shape == (5,)
+        assert not res.flags[0] and not res.flags[-1]
+        nodes.append(np.flatnonzero(res.flags).tolist())
+        g = res.fn
+    assert any(nodes)
 
 
 @pytest.mark.slow
@@ -333,11 +334,11 @@ def test_exact_F_agrees_with_mc_on_quartic_orbit():
     g = QUARTIC
     for lvl in (0, 1):
         rates = (float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl])
-        exact = R.evaluate_F(g, *rates, grid, budget, seed=0, backend="exact")
-        mc = R.evaluate_F(g, *rates, grid, budget, seed=60 + lvl)
-        gap = np.abs(exact.fn(grid) - mc.fn(grid))
-        assert np.all(gap <= 3 * mc.se + 5e-3 * exact.fn(grid)), lvl
-        g = exact.fn
+        exact = R.evaluate_F(g, *rates, grid)
+        mc = R.sample_F(g, *rates, grid, budget, seed=60 + lvl)
+        gap = np.abs(exact(grid) - mc.fn(grid))
+        assert np.all(gap <= 3 * mc.se + 5e-3 * exact(grid)), lvl
+        g = exact
 
 
 # ----------------------------------------------------------------------
@@ -386,14 +387,12 @@ def test_orbit_fw_matches_oracle():
     co = P.compute_A(mp, der, 6)
     d_seq = R.fw_recursion_oracle(1.0, 4, co)
     grid = np.linspace(0, 1, 11)
-    budget = R.EquilibriumBudget(n_replicas=96, burn=15, sample=60)
-    orbit = R.iterate_F_scaled(FW, mp, der, co, 4, budget, seed=11,
-                               theta_grid=grid)
+    orbit = R.iterate_F_scaled(FW, mp, der, co, 4, grid)
     assert np.array_equal(orbit.A, co.A[1:5])
     for n in range(1, 5):
         exact = co.A[n] * d_seq[n] * g_fw(grid)
         gaps = np.abs(orbit.scaled_values[n - 1] - exact)
-        assert np.all(gaps < 3 * orbit.scaled_se[n - 1] + 4e-3)
+        assert np.all(gaps < 4e-3)
 
 
 def test_exact_orbit_from_fw_stays_in_family():
@@ -402,9 +401,7 @@ def test_exact_orbit_from_fw_stays_in_family():
     mp = clustering_params()
     der = P.derive(mp)
     co = P.compute_A(mp, der, 10)
-    orbit = R.iterate_F_scaled(FW, mp, der, co, 8, SMALL, seed=0,
-                               theta_grid=np.linspace(0, 1, 21),
-                               backend="exact")
+    orbit = R.iterate_F_scaled(FW, mp, der, co, 8, np.linspace(0, 1, 21))
     scaled = orbit.sup_distance * (1.0 + orbit.A)
     assert np.all(np.abs(scaled - 0.25) <= 0.005), scaled
 
@@ -414,9 +411,7 @@ def test_orbit_quartic_contracts():
     mp = clustering_params()
     der = P.derive(mp)
     co = P.compute_A(mp, der, 6)
-    budget = R.EquilibriumBudget(n_replicas=96, burn=15, sample=60)
-    orbit = R.iterate_F_scaled(QUARTIC, mp, der, co, 4, budget, seed=12,
-                               theta_grid=np.linspace(0, 1, 11))
+    orbit = R.iterate_F_scaled(QUARTIC, mp, der, co, 4, np.linspace(0, 1, 11))
     assert np.all(np.diff(orbit.sup_distance) < 0)
 
 
@@ -425,7 +420,7 @@ def test_orbit_depth_guard():
     der = P.derive(mp)
     co = P.compute_A(mp, der, 4)
     with pytest.raises(ValueError):
-        R.iterate_F_scaled(FW, mp, der, co, 6, SMALL, seed=0)
+        R.iterate_F_scaled(FW, mp, der, co, 6, np.linspace(0, 1, 21))
 
 
 # ----------------------------------------------------------------------
@@ -438,8 +433,7 @@ def test_chain_moments_small_depth():
     mp = clustering_params()
     der = P.derive(mp)
     co = P.compute_A(mp, der, 4)
-    budget = R.EquilibriumBudget(n_replicas=96, burn=15, sample=60)
-    orbit = R.iterate_F_scaled(QUARTIC, mp, der, co, 3, budget, seed=13)
+    orbit = R.iterate_F_scaled(QUARTIC, mp, der, co, 3, CHEBYSHEV43)
     g_orbit = [QUARTIC] + orbit.grids
     n_rep = 8000
     chain = R.sample_interaction_chain(2, mp, der, g_orbit, n_rep,
@@ -514,9 +508,7 @@ def test_chain_concentrates_on_boundary_masses():
     mp = clustering_params()
     der = P.derive(mp)
     co = P.compute_A(mp, der, 8)
-    budget = R.EquilibriumBudget(n_replicas=48, burn=12, sample=40)
-    orbit = R.iterate_F_scaled(QUARTIC, mp, der, co, 7, budget, seed=41,
-                               theta_grid=np.linspace(0, 1, 17))
+    orbit = R.iterate_F_scaled(QUARTIC, mp, der, co, 7, np.linspace(0, 1, 17))
     g_orbit = [QUARTIC] + orbit.grids
     n_rep = 8000
     chain = R.sample_interaction_chain(6, mp, der, g_orbit, n_rep,
