@@ -500,9 +500,11 @@ def main(argv=None) -> int:
         job = Job(mp, run, _lineages(cfg["dual"], mp), seed, outdir)
         summary, files = _COMMANDS[args.command](job)
         write_manifest(outdir, raw, seed, files)
-    except (ConfigError, ValueError, KeyError, OSError,
+    except (ConfigError, ValueError, KeyError, OSError, MemoryError,
             forward.StabilityError, hiergeo.AccuracyError) as exc:
-        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        # a bare MemoryError() has no text; its class name stands in
+        text = " ".join(str(exc).split()) or type(exc).__name__
+        print("error: " + text, file=sys.stderr)
         return 1
     if not args.quiet:
         sys.stdout.write(_key_values(sorted(summary.items())))

@@ -13,8 +13,9 @@ pair at a colony coalesces at rate d.
 
 The moment duality  E_z[ H(z(t), l) ] = E_l[ H(z, L(t)) ]  with
 H(z, l) = prod_sites z^l is checked Monte Carlo against Monte Carlo, with the
-dual side cross-checkable on small systems by the exact exponential of the
-count-CTMC generator, computed by uniformisation (``forward._generator_exp``).
+dual side cross-checkable on small systems by exp(Q t) H, the action of the
+exponential of the count-CTMC generator Q on the vector of H values,
+computed by uniformisation (``forward._generator_exp``).
 """
 
 from __future__ import annotations
@@ -215,18 +216,28 @@ def _pick(weights, u: float) -> int:
 # ----------------------------------------------------------------------
 
 
+def _count_sites(params: ModelParams, n_max: int) -> int:
+    """The C (M + 1) sites of the count states; SizeError, counted without
+    building any state, when over 5000 states hold 1 to n_max lineages."""
+    n_sites = params.n_colonies * (params.levels + 2)
+    size = 0
+    for n in range(1, n_max + 1):
+        # n lineages on n_sites sites: C(n_sites + n - 1, n) configurations
+        size += math.comb(n_sites + n - 1, n)
+        if size > 5000:
+            raise SizeError("count-state space exceeds 5000")
+    return n_sites
+
+
 def enumerate_count_states(params: ModelParams, n_max: int) -> list:
     """All occupation-count configurations with 1 <= total <= n_max;
-    SizeError beyond 5000 of them."""
-    C, M = params.n_colonies, params.levels + 1
-    n_sites = C * (M + 1)
-    states = []
-    for n in range(1, n_max + 1):
-        for combo in itertools.combinations_with_replacement(range(n_sites), n):
-            states.append(np.bincount(combo, minlength=n_sites).reshape(M + 1, C))
-            if len(states) > 5000:
-                raise SizeError("count-state space exceeds 5000")
-    return states
+    SizeError, before any is built, beyond 5000 of them."""
+    n_sites = _count_sites(params, n_max)
+    shape = (params.levels + 2, params.n_colonies)
+    return [np.bincount(combo, minlength=n_sites).reshape(shape)
+            for n in range(1, n_max + 1)
+            for combo in itertools.combinations_with_replacement(
+                range(n_sites), n)]
 
 
 def dual_generator(params: ModelParams, states: list) -> np.ndarray:
@@ -286,13 +297,13 @@ def _count_chain(params: ModelParams, z: SystemState,
 
 def exact_dual_moment(params: ModelParams, z: SystemState, cfg0: DualConfig,
                       t: float) -> float:
-    """E[H(z, L(t))] from exp(Q t) of the count-CTMC generator Q.
+    """E[H(z, L(t))] = (exp(Q t) H)[start] for the count-CTMC generator Q.
 
-    The exponential is ``forward._generator_exp``; a negative t raises
+    ``forward._generator_exp`` computes the action on H; a negative t raises
     ValueError.
     """
     Q, start, H = _count_chain(params, z, cfg0)
-    return float(_generator_exp(Q, t)[start] @ H)
+    return float(_generator_exp(Q, t, H)[start])
 
 
 def _next_states(cum_rows: np.ndarray, u: np.ndarray,
@@ -390,11 +401,13 @@ def duality_estimate(params: ModelParams, z: SystemState, cfg0: DualConfig,
 
     lhs: forward Monte Carlo of H(z(t), l) started from the deterministic
     configuration z.  rhs: dual Monte Carlo of H(z, L(t)) started from l.
-    Only defined for Fisher-Wright resampling.
+    Only defined for Fisher-Wright resampling.  A count space too large for
+    the dual sides raises SizeError before any replica is allocated.
     """
     if not params.g.is_fisher_wright:
         raise DualityError("moment duality holds for g = d * x(1-x) only; "
                            "got a tabulated g")
+    _count_sites(params, cfg0.total)
     counts = cfg0.counts
 
     def reducer(x, y):

@@ -447,35 +447,31 @@ def lineage_generator(params: ModelParams) -> np.ndarray:
     return Q
 
 
-def _generator_exp(Q: np.ndarray, t: float) -> np.ndarray:
-    """exp(Q t) of a CTMC generator Q, by uniformisation with squaring.
+def _generator_exp(Q: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
+    """exp(Q t) v for a CTMC generator Q, by uniformisation.
 
     With lam the largest exit rate, P = I + Q / lam is stochastic and
-    exp(Q s) = e^(-u) sum_k u^k / k! P^k with u = lam s.  The series is
-    summed at s = t / 2^j, the least j with u <= 1/2, where its 16 terms
-    leave a remainder below 1e-18, and the result is squared j times.  Every
-    term is non-negative, so no cancellation occurs.
+    exp(Q t) v = sum_k e^(-u) u^k / k! P^k v with u = lam t.  Each Poisson
+    weight is taken from its logarithm, so none underflows before it is
+    negligible, and the sum stops at k = u + 10 sqrt(u) + 20, beyond which
+    the Poisson tail is below 1e-20.  For v >= 0 every term is non-negative,
+    so no cancellation occurs.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    n = Q.shape[0]
+    v = np.array(v, dtype=float)
     lam = float(np.max(-Q.diagonal(), initial=0.0))
-    if lam * t == 0.0:
-        return np.eye(n)
-    squarings = max(0, math.ceil(math.log2(2.0 * lam * t)))
-    u = lam * t / 2.0 ** squarings
+    u = lam * t
+    if u == 0.0:
+        return v
     P = Q / lam
-    P[np.diag_indices(n)] += 1.0
-    term = np.eye(n)
-    E = term.copy()
-    for k in range(1, 16):
-        term = term @ P
-        term *= u / k
-        E += term
-    E *= math.exp(-u)
-    for _ in range(squarings):
-        E = E @ E
-    return E
+    P[np.diag_indices_from(P)] += 1.0
+    out = np.zeros_like(v)
+    for k in range(math.floor(u + 10.0 * math.sqrt(u)) + 20):
+        if k:
+            v = P @ v
+        out += math.exp(k * math.log(u) - u - math.lgamma(k + 1)) * v
+    return out
 
 
 def first_moment_oracle(params: ModelParams, state: SystemState,
@@ -483,13 +479,14 @@ def first_moment_oracle(params: ModelParams, state: SystemState,
     """Exact per-site expectations E[z_(xi,R)(t)] by generator exponentiation.
 
     The first moments of the system follow the linear flow of the single
-    dual lineage, so exp(Q t), computed by ``_generator_exp``, applied to
-    the flattened state is an exact oracle for forward ensemble means.
+    dual lineage, so exp(Q t) z0, the action of the exponential on the
+    flattened state computed by ``_generator_exp``, is an exact oracle for
+    forward ensemble means.
     """
     C, M = params.n_colonies, params.levels + 1
     Q = lineage_generator(params)
     z0 = np.concatenate([state.x, state.y.reshape(M * C)])
-    zt = _generator_exp(Q, t) @ z0
+    zt = _generator_exp(Q, t, z0)
     return SystemState(zt[:C], zt[C:].reshape(M, C), state.time + t)
 
 

@@ -2,13 +2,16 @@
 
 Every stochastic routine in the package takes an explicit generator (or a
 stream factory).  Each stream is an SFC64 generator keyed by hashing a seed
-together with string/integer labels (a replica chunk index among them), so
-replica r of subcommand s always sees the same numbers regardless of how many
-other replicas run, in which order, or on how many workers.  No caller needs
-a counter or a jump, so the small-state SFC64 suffices, and it draws normals
-and Beta variates faster than counter-based Philox.  Draws are reproducible
-for a given hierfw and numpy version: numpy fixes the seeding of SFC64 and
-its Beta and normal algorithms.
+together with string/integer labels.  The replica ensembles of ``forward``
+and ``dual`` put a replica chunk index among the labels, so there replica r
+always sees the same numbers regardless of how many other replicas run, in
+which order, or on how many workers.  The equilibrium sampler of ``renorm``
+and ``sample_interaction_chain`` draw all replicas from one stream per call
+or per level, so their first replicas change with the replica count.  No
+caller needs a counter or a jump, so the small-state SFC64 suffices, and it
+draws normals and Beta variates faster than counter-based Philox.  Draws are
+reproducible for a given hierfw and numpy version: numpy fixes the seeding
+of SFC64 and its Beta and normal algorithms.
 """
 
 from __future__ import annotations

@@ -403,6 +403,31 @@ def test_accuracy_error_exits_one(tmp_path, capsys, monkeypatch):
     assert err == "error: truncation too small for requested horizon\n"
 
 
+@pytest.mark.parametrize("error,line", [
+    (MemoryError(), "error: MemoryError\n"),
+    (MemoryError("Unable to allocate 16.0 GiB for an array with shape "
+                 "(1024, 2097152) and data type float64"),
+     "error: Unable to allocate 16.0 GiB for an array with shape "
+     "(1024, 2097152) and data type float64\n"),
+])
+def test_memory_error_exits_one(tmp_path, capsys, monkeypatch, error, line):
+    # an allocation that fails mid-run prints one non-empty error line and
+    # leaves no manifest, also where an earlier run left one
+    cfg = write_cfg(tmp_path, TWO_COLONY_CFG)
+    out = tmp_path / "o"
+    assert run(["simulate-forward", "--config", cfg, "--out", out,
+                "--quiet"]) == 0
+
+    def exhausted(job):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate-forward", exhausted)
+    assert run(["simulate-forward", "--config", cfg, "--out", out,
+                "--quiet"]) == 1
+    assert capsys.readouterr().err == line
+    assert not (out / "manifest.json").exists()
+
+
 def test_replicas_flag_zero_is_not_replaced(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG)
     out = tmp_path / "o"

@@ -1,6 +1,7 @@
 """Dual process: rates, Gillespie trajectories, duality, renewal tails."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,25 +181,43 @@ def test_single_lineage_marginal_matches_semigroup():
 
 @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 2.3, 50.0])
 def test_generator_exp_matches_expm(t):
-    # the oracles' uniformised exponential against scipy's Pade expm, on two
-    # lineage generators and criterion 6's count chain
+    # the oracles' uniformised action exp(Q t) v against scipy's Pade expm,
+    # column by column, on two lineage generators and criterion 6's count
+    # chain
     mp = two_colony()
     wide = P.ModelParams(N=3, levels=1, c=(1.0, 0.5), e=(0.7, 0.3),
                          K=(1.3, 2.0), g=fisher_wright(2.0))
     count_chain, _, _ = D._count_chain(mp, z_state(),
                                        D.DualConfig.actives(mp, {0: 2}))
     for Q in (F.lineage_generator(mp), F.lineage_generator(wide), count_chain):
-        E = F._generator_exp(Q, t)
+        n = len(Q)
+        E = np.column_stack([F._generator_exp(Q, t, unit)
+                             for unit in np.identity(n)])
         assert np.abs(E - expm(Q * t)).max() <= 1e-13
         assert E.min() >= 0.0
-        assert np.abs(E.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(F._generator_exp(Q, t, np.ones(n)) - 1.0).max() <= 1e-12
         if t == 0.0:
-            assert np.array_equal(E, np.eye(len(Q)))
+            assert np.array_equal(E, np.identity(n))
 
 
 def test_generator_exp_refuses_negative_time():
+    Q = F.lineage_generator(two_colony())
     with pytest.raises(ValueError, match="non-negative"):
-        F._generator_exp(F.lineage_generator(two_colony()), -1.0)
+        F._generator_exp(Q, -1.0, np.ones(len(Q)))
+
+
+def test_generator_exp_large_count_chain():
+    # two actives on 16 colonies with two colours: 48 sites, 1,224 count
+    # states, exit rate up to 512; expm itself is ~1e-13 off here
+    mp = P.ModelParams(N=4, levels=1, c=(0.05, 0.05), e=(256.0, 256.0),
+                       K=(0.01, 0.01), g=fisher_wright(0.01))
+    z = F.SystemState(np.linspace(0.05, 0.95, 16),
+                      np.linspace(0.9, 0.1, 32).reshape(2, 16))
+    Q, _, H = D._count_chain(mp, z, D.DualConfig.actives(mp, {0: 2}))
+    assert len(Q) == 1224
+    E = expm(Q)
+    for v in (H, np.ones(len(Q))):
+        assert np.abs(F._generator_exp(Q, 1.0, v) - E @ v).max() <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +303,36 @@ def test_count_state_enumeration_size():
     # 2 colonies x (A, D_0): 4 sites; totals 1 and 2 -> 4 + 10 states
     states = D.enumerate_count_states(two_colony(), 2)
     assert len(states) == 14
+
+
+def _wide_model():
+    # 256 colonies x (A, D_0..D_3): 1,280 sites, 821,120 states of <= 2
+    return P.ModelParams(N=4, levels=3, c=(1.0,) * 4, e=(1.0,) * 4,
+                         K=(1.0,) * 4, g=fisher_wright(1.0))
+
+
+def test_count_state_guard_builds_no_state():
+    mp = _wide_model()
+    tracemalloc.start()
+    try:
+        with pytest.raises(F.SizeError):
+            D.enumerate_count_states(mp, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_duality_estimate_sizes_dual_before_forward(monkeypatch):
+    def forward_ensemble(*args, **kwargs):
+        raise AssertionError("forward ensemble ran before the size check")
+
+    monkeypatch.setattr(D, "ensemble_reduce", forward_ensemble)
+    mp = _wide_model()
+    z = F.SystemState(np.full(256, 0.5), np.full((4, 256), 0.5))
+    with pytest.raises(F.SizeError):
+        D.duality_estimate(mp, z, D.DualConfig.actives(mp, {0: 2}), 1.0,
+                           100, seed=0)
 
 
 # ----------------------------------------------------------------------
