@@ -374,8 +374,10 @@ def cmd_duality_check(job: Job) -> tuple:
     mp, run = job.model, job.run
     if mp.init is None:
         raise ConfigError("duality-check needs an init block")
+    cfg0 = _dual_config(job)
+    dual.count_sites(mp, cfg0.total)    # size the dual before z is drawn
     z = forward.initial_state(mp, mp.init, stream(job.seed, "duality-z"))
-    report = dual.duality_estimate(mp, z, _dual_config(job), run.get("t", 1.0),
+    report = dual.duality_estimate(mp, z, cfg0, run.get("t", 1.0),
                                    run.get("replicas", 10_000), job.seed,
                                    dt=run.get("dt"))
     summary = report.as_dict()

@@ -15,7 +15,8 @@ The moment duality  E_z[ H(z(t), l) ] = E_l[ H(z, L(t)) ]  with
 H(z, l) = prod_sites z^l is checked Monte Carlo against Monte Carlo, with the
 dual side cross-checkable on small systems by exp(Q t) H, the action of the
 exponential of the count-CTMC generator Q on the vector of H values,
-computed by uniformisation (``forward._generator_exp``).
+computed by uniformisation (``forward._generator_exp``).  Both dual sides
+run on one count chain (Q, start state, H), built once per check.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def _pick(weights, u: float) -> int:
 # ----------------------------------------------------------------------
 
 
-def _count_sites(params: ModelParams, n_max: int) -> int:
+def count_sites(params: ModelParams, n_max: int) -> int:
     """The C (M + 1) sites of the count states; SizeError, counted without
     building any state, when over 5000 states hold 1 to n_max lineages."""
     n_sites = params.n_colonies * (params.levels + 2)
@@ -232,7 +233,7 @@ def _count_sites(params: ModelParams, n_max: int) -> int:
 def enumerate_count_states(params: ModelParams, n_max: int) -> list:
     """All occupation-count configurations with 1 <= total <= n_max;
     SizeError, before any is built, beyond 5000 of them."""
-    n_sites = _count_sites(params, n_max)
+    n_sites = count_sites(params, n_max)
     shape = (params.levels + 2, params.n_colonies)
     return [np.bincount(combo, minlength=n_sites).reshape(shape)
             for n in range(1, n_max + 1)
@@ -287,7 +288,10 @@ def duality_function(state: SystemState, counts: np.ndarray) -> float:
 
 def _count_chain(params: ModelParams, z: SystemState,
                  cfg0: DualConfig) -> tuple:
-    """(Q, start index, H(z, .)) on all states of at most cfg0.total lineages."""
+    """(Q, start index, H(z, .)) on all states of at most cfg0.total
+    lineages: the one chain both dual sides of ``duality_estimate`` share."""
+    if cfg0.total < 1:
+        raise ValueError("the dual needs at least one lineage")
     states = enumerate_count_states(params, cfg0.total)
     start = {s.tobytes(): i for i, s in enumerate(states)}[
         cfg0.counts.astype(int).tobytes()]
@@ -295,14 +299,11 @@ def _count_chain(params: ModelParams, z: SystemState,
     return dual_generator(params, states), start, H
 
 
-def exact_dual_moment(params: ModelParams, z: SystemState, cfg0: DualConfig,
+def exact_dual_moment(Q: np.ndarray, start: int, H: np.ndarray,
                       t: float) -> float:
-    """E[H(z, L(t))] = (exp(Q t) H)[start] for the count-CTMC generator Q.
-
-    ``forward._generator_exp`` computes the action on H; a negative t raises
-    ValueError.
-    """
-    Q, start, H = _count_chain(params, z, cfg0)
+    """E[H(z, L(t))] = (exp(Q t) H)[start] on the count chain (Q, start, H)
+    that the dual Monte Carlo also runs.  ``forward._generator_exp`` computes
+    the action on H; a negative t raises ValueError."""
     return float(_generator_exp(Q, t, H)[start])
 
 
@@ -317,21 +318,17 @@ def _next_states(cum_rows: np.ndarray, u: np.ndarray,
     return np.minimum((cum_rows < u[:, None]).sum(axis=1), last)
 
 
-def _sample_dual_H(params: ModelParams, z: SystemState, cfg0: DualConfig,
-                   t: float, n_replicas: int, seed: int) -> tuple:
-    """Monte Carlo of E[H(z, L(t))], vectorised over replicas.
-
-    The count-state space is enumerated once and the jump chain is advanced
-    for all replicas simultaneously; this is an exact-law sampler.
-    """
-    Q, start, H = _count_chain(params, z, cfg0)
+def _sample_dual_H(Q: np.ndarray, start: int, H: np.ndarray, t: float,
+                   n_replicas: int, seed: int) -> tuple:
+    """Monte Carlo of E[H(z, L(t))], vectorised over replicas: an exact-law
+    sampler of the jump chain of the count chain (Q, start, H) that the exact
+    moment also uses.  Its cumulative jump table is its one copy of Q."""
     out_rate = -Q.diagonal()
-    P = Q.copy()
-    np.fill_diagonal(P, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        P = np.where(out_rate[:, None] > 0, P / out_rate[:, None], 0.0)
-    cumP = np.cumsum(P, axis=1)
-    last = P.shape[1] - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
+    cumP = Q.copy()
+    np.fill_diagonal(cumP, 0.0)
+    cumP /= np.where(out_rate > 0, out_rate, 1.0)[:, None]
+    last = len(cumP) - 1 - np.argmax(cumP[:, ::-1] > 0, axis=1)
+    np.cumsum(cumP, axis=1, out=cumP)
     total = 0.0
     total_sq = 0.0
     for chunk, width in rngmod.replica_chunks(n_replicas):
@@ -400,14 +397,15 @@ def duality_estimate(params: ModelParams, z: SystemState, cfg0: DualConfig,
     """Both sides of the moment duality with standard errors.
 
     lhs: forward Monte Carlo of H(z(t), l) started from the deterministic
-    configuration z.  rhs: dual Monte Carlo of H(z, L(t)) started from l.
-    Only defined for Fisher-Wright resampling.  A count space too large for
-    the dual sides raises SizeError before any replica is allocated.
+    configuration z.  rhs (dual Monte Carlo) and exact_rhs (exp(Q t) H) of
+    H(z, L(t)) from l share one count chain, built before the forward
+    ensemble.  Only for Fisher-Wright resampling; a count space too large
+    for the chain raises SizeError before any replica is allocated.
     """
     if not params.g.is_fisher_wright:
         raise DualityError("moment duality holds for g = d * x(1-x) only; "
                            "got a tabulated g")
-    _count_sites(params, cfg0.total)
+    chain = _count_chain(params, z, cfg0)
     counts = cfg0.counts
 
     def reducer(x, y):
@@ -417,8 +415,8 @@ def duality_estimate(params: ModelParams, z: SystemState, cfg0: DualConfig,
 
     mean, se, _ = ensemble_reduce(params, z, (t,), n_replicas, seed, reducer,
                                   dt=dt, label="duality-forward")
-    rhs, rhs_se = _sample_dual_H(params, z, cfg0, t, n_replicas, seed)
-    exact = exact_dual_moment(params, z, cfg0, t)
+    rhs, rhs_se = _sample_dual_H(*chain, t, n_replicas, seed)
+    exact = exact_dual_moment(*chain, t)
     return DualityReport(lhs=float(mean[0, 0]), lhs_se=float(se[0, 0]),
                          rhs=rhs, rhs_se=rhs_se, exact_rhs=exact,
                          t=t, replicas=n_replicas)

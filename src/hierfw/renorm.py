@@ -74,9 +74,7 @@ class EquilibriumEstimate:
     fg: float                  # E[g(x)] = (F g)(theta)
     se: dict                   # standard errors keyed like the fields
     flagged: bool
-    n_replicas: int
     total_steps: int
-    dt: float
 
 
 class _PairIntegrator:
@@ -225,8 +223,8 @@ def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
         out.append(EquilibriumEstimate(
             **dict(zip(keys, map(float, grand))),
             se={k: float(v) for k, v in zip(keys, se)},
-            flagged=bool(gap > 4.0 * gap_se + 1e-12), n_replicas=R,
-            total_steps=(n_burn + n_sample) * R, dt=integ.dt,
+            flagged=bool(gap > 4.0 * gap_se + 1e-12),
+            total_steps=(n_burn + n_sample) * R,
         ))
     return out
 

@@ -146,6 +146,26 @@ def test_duality_check(tmp_path):
     assert abs(report["rhs"] - report["exact_rhs"]) < 5 * report["rhs_se"]
 
 
+def test_duality_check_sizes_dual_before_drawing_z(tmp_path, capsys,
+                                                   monkeypatch):
+    # 256 colonies x (A, D_0..D_3): 1,280 sites, far over 5000 states of
+    # <= 2 lineages; the start configuration z is never drawn
+    def initial_state(*args, **kwargs):
+        raise AssertionError("z drawn before the count space was sized")
+
+    monkeypatch.setattr(hierfw.forward, "initial_state", initial_state)
+    wide = TWO_COLONY_CFG.replace(
+        "N: 2\n  levels: 0\n  c: [1.0]\n  e: [1.0]\n  K: [1.0]",
+        "N: 4\n  levels: 3\n  c: [1.0, 1.0, 1.0, 1.0]\n"
+        "  e: [1.0, 1.0, 1.0, 1.0]\n  K: [1.0, 1.0, 1.0, 1.0]").replace(
+        "theta_y: [0.4]", "theta_y: [0.4, 0.4, 0.4, 0.4]")
+    cfg = write_cfg(tmp_path, wide)
+    out = tmp_path / "o"
+    assert run(["duality-check", "--config", cfg, "--out", out, "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: count-state space exceeds 5000\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_simulate_dual_events(tmp_path):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG)
     out = tmp_path / "o"

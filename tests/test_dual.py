@@ -206,13 +206,19 @@ def test_generator_exp_refuses_negative_time():
         F._generator_exp(Q, -1.0, np.ones(len(Q)))
 
 
-def test_generator_exp_large_count_chain():
+def _large_chain_model():
     # two actives on 16 colonies with two colours: 48 sites, 1,224 count
-    # states, exit rate up to 512; expm itself is ~1e-13 off here
+    # states, exit rate up to 512
     mp = P.ModelParams(N=4, levels=1, c=(0.05, 0.05), e=(256.0, 256.0),
                        K=(0.01, 0.01), g=fisher_wright(0.01))
     z = F.SystemState(np.linspace(0.05, 0.95, 16),
                       np.linspace(0.9, 0.1, 32).reshape(2, 16))
+    return mp, z
+
+
+def test_generator_exp_large_count_chain():
+    # expm itself is ~1e-13 off on this chain
+    mp, z = _large_chain_model()
     Q, _, H = D._count_chain(mp, z, D.DualConfig.actives(mp, {0: 2}))
     assert len(Q) == 1224
     E = expm(Q)
@@ -238,7 +244,8 @@ def test_duality_t0_identity():
     z = z_state()
     cfg = D.DualConfig.actives(mp, {0: 2})
     h0 = D.duality_function(z, cfg.counts)
-    assert D.exact_dual_moment(mp, z, cfg, 0.0) == pytest.approx(h0, rel=1e-12)
+    assert D.exact_dual_moment(*D._count_chain(mp, z, cfg), 0.0) == \
+        pytest.approx(h0, rel=1e-12)
     rep = D.duality_estimate(mp, z, cfg, 1e-9, 2000, seed=6, dt=1e-10)
     assert rep.lhs == pytest.approx(h0, abs=1e-6)
     assert rep.rhs == pytest.approx(h0, abs=1e-6)
@@ -251,7 +258,54 @@ def test_duality_constant_state_single_lineage():
     theta = 0.37
     z = F.SystemState(np.full(2, theta), np.full((1, 2), theta))
     cfg = D.DualConfig.actives(mp, {1: 1})
-    assert D.exact_dual_moment(mp, z, cfg, 2.3) == pytest.approx(theta, rel=1e-12)
+    assert D.exact_dual_moment(*D._count_chain(mp, z, cfg), 2.3) == \
+        pytest.approx(theta, rel=1e-12)
+
+
+def test_duality_empty_configuration_refused(monkeypatch):
+    def forward_ensemble(*args, **kwargs):
+        raise AssertionError("forward ensemble ran for an empty dual")
+
+    monkeypatch.setattr(D, "ensemble_reduce", forward_ensemble)
+    mp = two_colony()
+    with pytest.raises(ValueError, match="at least one lineage"):
+        D.duality_estimate(mp, z_state(), D.DualConfig(np.zeros((2, 2), int)),
+                           0.5, 100, seed=1)
+
+
+def test_duality_estimate_builds_one_count_chain(monkeypatch):
+    # the dual Monte Carlo and the exact dual moment share one chain
+    calls = {"enumerate_count_states": 0, "dual_generator": 0}
+
+    def counted(name):
+        fn = getattr(D, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(D, name, counted(name))
+    mp = two_colony()
+    D.duality_estimate(mp, z_state(), D.DualConfig.actives(mp, {0: 2}), 0.5,
+                       200, seed=3)
+    assert calls == {"enumerate_count_states": 1, "dual_generator": 1}
+
+
+def test_duality_estimate_memory_peak_on_large_count_chain():
+    # on the 1,224-state chain, Q, the sampler's one jump table and its
+    # per-step row gathers peak at ~3.0 Q.nbytes; each further dense copy
+    # of Q alive at once would add 1.0
+    mp, z = _large_chain_model()
+    tracemalloc.start()
+    try:
+        D.duality_estimate(mp, z, D.DualConfig.actives(mp, {0: 2}), 1.0, 2000,
+                           seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 1224 ** 2 * 8
 
 
 def test_duality_non_fw_refused():
