@@ -323,6 +323,10 @@ def _sample_dual_H(Q: np.ndarray, start: int, H: np.ndarray, t: float,
     """Monte Carlo of E[H(z, L(t))], vectorised over replicas: an exact-law
     sampler of the jump chain of the count chain (Q, start, H) that the exact
     moment also uses.  Its cumulative jump table is its one copy of Q."""
+    if n_replicas < 1:
+        raise ValueError("n_replicas must be at least 1")
+    if t < 0:
+        raise ValueError("t must be non-negative")
     out_rate = -Q.diagonal()
     cumP = Q.copy()
     np.fill_diagonal(cumP, 0.0)

@@ -451,7 +451,8 @@ def _generator_exp(Q: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     """exp(Q t) v for a CTMC generator Q, by uniformisation.
 
     With lam the largest exit rate, P = I + Q / lam is stochastic and
-    exp(Q t) v = sum_k e^(-u) u^k / k! P^k v with u = lam t.  Each Poisson
+    exp(Q t) v = sum_k e^(-u) u^k / k! P^k v with u = lam t.  Each power is
+    applied as P v = v + Q v / lam, so P itself is never formed.  Each Poisson
     weight is taken from its logarithm, so none underflows before it is
     negligible, and the sum stops at k = u + 10 sqrt(u) + 20, beyond which
     the Poisson tail is below 1e-20.  For v >= 0 every term is non-negative,
@@ -464,12 +465,10 @@ def _generator_exp(Q: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     u = lam * t
     if u == 0.0:
         return v
-    P = Q / lam
-    P[np.diag_indices_from(P)] += 1.0
     out = np.zeros_like(v)
     for k in range(math.floor(u + 10.0 * math.sqrt(u)) + 20):
         if k:
-            v = P @ v
+            v = v + (Q @ v) / lam
         out += math.exp(k * math.log(u) - u - math.lgamma(k + 1)) * v
     return out
 
@@ -491,7 +490,7 @@ def first_moment_oracle(params: ModelParams, state: SystemState,
 
 
 # ----------------------------------------------------------------------
-# McKean-Vlasov single colony
+# McKean-Vlasov single colony: closed-form means
 # ----------------------------------------------------------------------
 
 
@@ -501,45 +500,11 @@ def mckean_vlasov_mean(K: float, e: float, theta_x: float, theta_y: float,
 
     E[x(t)] = theta + K/(1+K) (theta_x - theta_y) exp(-(K+1) e t), and
     E[y(t)] = theta -  1/(1+K) (theta_x - theta_y) exp(-(K+1) e t), with
-    theta = (theta_x + K theta_y) / (1 + K).  Independent of g.
+    theta = (theta_x + K theta_y) / (1 + K).  Independent of g.  The colony
+    is the renormalisation pair at E = 1 with drift centre E[x(t)], so this
+    is the transient oracle of ``renorm._PairIntegrator``.
     """
     t = np.asarray(t, dtype=float)
     theta = (theta_x + K * theta_y) / (1.0 + K)
     gap = (theta_x - theta_y) * np.exp(-(K + 1.0) * e * t)
     return theta + K / (1.0 + K) * gap, theta - 1.0 / (1.0 + K) * gap
-
-
-def simulate_mckean_vlasov(c: float, K: float, e: float, g, theta_x: float,
-                           theta_y: float, times: Sequence[float],
-                           n_replicas: int, seed: int,
-                           dt: float = 0.01) -> tuple:
-    """Ensemble of the single-colony process with self-consistent drift.
-
-    Every replica starts at (theta_x, theta_y).  The mean-field drift
-    c (E[x(t)] - x) uses the closed-form mean, which is the exact reduction
-    of the self-consistent evolution.  Returns means and standard errors of
-    (x, y) at the requested times, each shaped (T, 2).
-    """
-    steps_at = _record_steps(times, dt)
-    grid = np.arange(max(steps_at, default=0)) * dt
-    mean_x_path, _ = mckean_vlasov_mean(K, e, theta_x, theta_y, grid)
-    f = 1.0 - math.exp(-e * dt)
-    sums = np.zeros((len(steps_at), 2))
-    sumsq = np.zeros((len(steps_at), 2))
-    for chunk, width in rngmod.replica_chunks(n_replicas):
-        rng = rngmod.stream(seed, "mckean-vlasov", chunk)
-        x = np.full(rngmod.CHUNK, theta_x)
-        y = np.full(rngmod.CHUNK, theta_y)
-        done = 0
-        for i, target in enumerate(steps_at):
-            for s in range(done, target):
-                dy = (x - y) * f
-                drift = c * (mean_x_path[s] - x) * dt - K * dy
-                noise = (np.sqrt(np.maximum(g(x), 0.0) * dt)
-                         * rng.standard_normal(rngmod.CHUNK))
-                x = np.clip(x + drift + noise, 0.0, 1.0)
-                y = np.clip(y + dy, 0.0, 1.0)
-            done = target
-            sums[i] += np.stack([x[:width].sum(), y[:width].sum()])
-            sumsq[i] += np.stack([(x[:width] ** 2).sum(), (y[:width] ** 2).sum()])
-    return _mean_se(sums, sumsq, n_replicas)

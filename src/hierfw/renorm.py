@@ -21,7 +21,8 @@ clustering regime keep their correct boundary behaviour.
 
 Sampled equilibrium moments are long-run time averages over independent
 replicas (with a split-half stationarity check); an endpoint mode returning
-one independent draw per replica drives the interaction chain.
+one independent draw per replica drives the interaction chain.  Stepped with
+theta = E[x(t)] at E = 1, the integrator runs the mean-field colony's transient.
 
 The map F itself is computed without sampling (``evaluate_F``, see
 ``hierfw.exact``): where r = E c / e >= 1/32, by a Richardson-extrapolated

@@ -254,21 +254,32 @@ def test_criterion_06_duality():
 
 
 def test_criterion_07_mean_oracle():
+    # the mean-field colony is the renormalisation pair at E = 1 with drift
+    # centre E[x(t)]: drive the pair integrator with the closed-form mean at
+    # each step's midpoint and compare its transient means with that form
     times = (0.5, 1.0, 2.0)
-    theta_x, theta_y = 0.9, 0.2
-    ex, ey = forward.mckean_vlasov_mean(1.0, 1.0, theta_x, theta_y,
-                                        np.asarray(times))
+    theta_x, theta_y, n = 0.9, 0.2, 40_000
     ok = True
-    for tag, g in (("fw", FW), ("quartic", QUARTIC)):
-        mean, se = forward.simulate_mckean_vlasov(
-            c=1.0, K=1.0, e=1.0, g=g, theta_x=theta_x, theta_y=theta_y,
-            times=times, n_replicas=40_000, seed=700, dt=0.0025)
-        for i in range(len(times)):
-            ok &= abs(mean[i, 0] - ex[i]) < 3 * se[i, 0] + 5e-4
-            ok &= abs(mean[i, 1] - ey[i]) < 3 * se[i, 1] + 5e-4
+    for g in (FW, QUARTIC):
+        integ = renorm._PairIntegrator(1.0, 1.0, 1.0, 1.0, g, 0.01)
+        steps = {round(t / integ.dt): t for t in times}
+        assert all(math.isclose(s * integ.dt, t) for s, t in steps.items())
+        rng = stream(700, "mckean-vlasov")
+        x, y = np.full(n, theta_x), np.full(n, theta_y)
+        for s in range(max(steps)):
+            theta = forward.mckean_vlasov_mean(1.0, 1.0, theta_x, theta_y,
+                                               (s + 0.5) * integ.dt)[0]
+            integ.advance(x, y, float(theta), 1, rng)
+            if s + 1 in steps:
+                ex, ey = forward.mckean_vlasov_mean(1.0, 1.0, theta_x,
+                                                    theta_y, steps[s + 1])
+                for z, exact in ((x, ex), (y, ey)):
+                    se = z.std() / math.sqrt(n)
+                    ok &= abs(z.mean() - exact) < 3 * se + 5e-4
     verdict(7, ok,
-            "ensemble means of the mean-field pair match the closed form at "
-            "three times for two diffusion functions (means g-independent)")
+            "pair-integrator means of the mean-field colony match the closed "
+            "form at three times for two diffusion functions (means "
+            "g-independent)")
 
 
 # ----------------------------------------------------------------------

@@ -226,6 +226,20 @@ def test_generator_exp_large_count_chain():
         assert np.abs(F._generator_exp(Q, 1.0, v) - E @ v).max() <= 1e-12
 
 
+def test_generator_exp_holds_no_copy_of_q():
+    # each uniformisation term is v + Q v / lam, so the sum holds vectors
+    # only; a dense P = I + Q / lam alone would be 1.0 Q.nbytes
+    mp, z = _large_chain_model()
+    Q, _, H = D._count_chain(mp, z, D.DualConfig.actives(mp, {0: 2}))
+    tracemalloc.start()
+    try:
+        F._generator_exp(Q, 1.0, H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * Q.nbytes
+
+
 # ----------------------------------------------------------------------
 # duality
 # ----------------------------------------------------------------------
@@ -306,6 +320,15 @@ def test_duality_estimate_memory_peak_on_large_count_chain():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * 1224 ** 2 * 8
+
+
+def test_sample_dual_h_checks_arguments():
+    mp = two_colony()
+    chain = D._count_chain(mp, z_state(), D.DualConfig.actives(mp, {0: 2}))
+    with pytest.raises(ValueError, match="n_replicas must be at least 1"):
+        D._sample_dual_H(*chain, 1.0, 0, seed=0)
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        D._sample_dual_H(*chain, -0.5, 100, seed=0)
 
 
 def test_duality_non_fw_refused():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hierfw import forward as F
 from hierfw import params as P
-from hierfw.diffusion import fisher_wright, grid_from_callable
+from hierfw.diffusion import fisher_wright
 from hierfw.rng import CHUNK, replica_chunks, stream
 
 FW = fisher_wright(1.0)
@@ -390,31 +390,6 @@ def test_mckean_vlasov_mean_formula():
     theta = (0.9 + 2.0 * 0.3) / 3.0
     assert exi == pytest.approx(theta)
     assert eyi == pytest.approx(theta)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("g", [fisher_wright(1.0),
-                               grid_from_callable(lambda x: (x * (1 - x)) ** 2)])
-def test_mckean_vlasov_ensemble_matches_closed_form(g):
-    # means are g-independent and follow the closed form at t in {0.5, 1, 2}
-    times = (0.5, 1.0, 2.0)
-    mean, se = F.simulate_mckean_vlasov(
-        c=1.0, K=1.0, e=1.0, g=g, theta_x=0.9, theta_y=0.2,
-        times=times, n_replicas=30_000, seed=5, dt=0.005)
-    ex, ey = F.mckean_vlasov_mean(1.0, 1.0, 0.9, 0.2, np.asarray(times))
-    for i in range(len(times)):
-        assert abs(mean[i, 0] - ex[i]) < 3 * se[i, 0] + 1e-3
-        assert abs(mean[i, 1] - ey[i]) < 3 * se[i, 1] + 1e-3
-
-
-def test_mckean_vlasov_repeated_record_time():
-    # each record row is filled, also when two times share a step
-    args = dict(c=1.0, K=1.0, e=1.0, g=FW, theta_x=0.9, theta_y=0.2,
-                n_replicas=300, seed=5, dt=0.01)
-    mean, se = F.simulate_mckean_vlasov(times=(0.0, 0.5, 0.5), **args)
-    ref_mean, ref_se = F.simulate_mckean_vlasov(times=(0.0, 0.5), **args)
-    assert np.array_equal(mean, ref_mean[[0, 1, 1]])
-    assert np.array_equal(se, ref_se[[0, 1, 1]])
 
 
 def test_heavy_clipping_flags_run():

@@ -9,6 +9,7 @@ from hierfw import exact as X
 from hierfw import params as P
 from hierfw import renorm as R
 from hierfw.diffusion import DiffusionFn, fisher_wright, g_fw, grid_from_callable
+from hierfw.forward import mckean_vlasov_mean
 
 FW = fisher_wright(1.0)
 QUARTIC = grid_from_callable(lambda x: (x * (1 - x)) ** 2)
@@ -96,6 +97,23 @@ def test_fused_map_matches_reference_steps(theta, shape, n_steps):
     x_ref, y_ref = _reference_steps(integ, x0, y0, theta, n_steps)
     assert np.max(np.abs(x - x_ref)) < 1e-13
     assert np.max(np.abs(y - y_ref)) < 1e-13
+
+
+@pytest.mark.parametrize("K,e,c", [(2.0, 1.0, 1.0), (0.5, 3.0, 0.25)])
+def test_noiseless_mean_field_drive_is_exact(K, e, c):
+    # the mean-field colony without noise, stepped one at a time with theta
+    # the closed-form mean at each step's midpoint: the rotations are exact
+    # and the drift half-steps act where x equals theta, so the pair follows
+    # the closed form to rounding while theta changes between steps
+    integ = R._PairIntegrator(1.0, c, K, e, fisher_wright(0.0), 0.01)
+    rng = np.random.default_rng(0)
+    x, y = np.array([0.9]), np.array([0.2])
+    for s in range(200):
+        theta = mckean_vlasov_mean(K, e, 0.9, 0.2, (s + 0.5) * integ.dt)[0]
+        integ.advance(x, y, float(theta), 1, rng)
+        ex, ey = mckean_vlasov_mean(K, e, 0.9, 0.2, (s + 1) * integ.dt)
+        assert abs(x[0] - ex) < 1e-12
+        assert abs(y[0] - ey) < 1e-12
 
 
 def test_total_steps_counts_every_replica_step():
