@@ -427,6 +427,9 @@ def cmd_interaction_chain(job: Job) -> tuple:
     if n_replicas < 2:
         raise ConfigError("interaction-chain needs run.replicas >= 2 for "
                           "its variances")
+    if depth > mp.levels - 1:
+        raise ConfigError(f"interaction-chain needs run.depth <= model.levels "
+                          f"- 1 = {mp.levels - 1}, found {depth}")
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, depth + 2)
     budget = _budget(run)
@@ -452,6 +455,9 @@ def cmd_interaction_chain(job: Job) -> tuple:
 
 def cmd_profile(job: Job) -> tuple:
     depth = job.run.get("depth", job.model.levels)
+    if depth > job.model.levels:
+        raise ConfigError(f"profile needs run.depth <= model.levels = "
+                          f"{job.model.levels}, found {depth}")
     coeffs = params.compute_A(job.model, params.derive(job.model), depth + 1)
     values = renorm.volatility_profile(depth, coeffs)
     summary = {"depth": depth,

@@ -19,14 +19,18 @@ built from level-(l-1) means, and the drift, rewritten as
 sum_l R_l (m_l - m_{l-1}) with tail rates R_l = sum_{k>=l} c_{k-1}/N^{k-1},
 is accumulated from the top level down at each level's own resolution, so
 only the level-1 means read the colony array.  A step then visits the
-colonies in cache-sized column tiles, updating one dormant colour row at a
-time, so no (M, C) temporary is allocated.
+(W, C) replica-by-colony array in cache-sized tiles, in row-major order: a
+tile is a band of whole rows when a row is short, else a span of whole
+level-1 blocks of one row.  Each tile draws its normals just before it uses
+them, from the generator of each of its rows, and updates one dormant
+colour at a time, so neither a (W, C) normals array nor an (M, C)
+temporary is allocated.
 
 Replicas are vectorised in fixed-width chunks; replica r always draws from
-the stream keyed by (seed, labels, r // CHUNK) at column r % CHUNK.
+the stream keyed by (seed, labels, r // CHUNK) at row r % CHUNK.
 ``ensemble_reduce`` advances groups of chunks as one stacked array, each
-chunk's normals drawn from its own stream into its own rows, so grouping
-changes no replica's numbers.
+chunk's rows drawing from its own stream in row-major order, so neither
+grouping nor tiling changes any replica's numbers.
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ class SizeError(ValueError):
     """State space too large for exact generator computations."""
 
 
-# A step visits colonies in column tiles of about this many state entries per
-# array, so that a tile's x, y_m and increments stay in cache for the step.
+# A step visits colonies in tiles of at most this many state entries per
+# array (rows of more than this many colonies are split into spans), so that
+# a tile's x, y_m, normals and increments stay in cache for the step.
 _TILE = 1 << 15
 # ensemble_reduce stacks as many replica chunks as keep a group's (x, y)
 # state within this many bytes (always at least one chunk).
@@ -190,35 +195,51 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
 
     x has shape (W, C) and y (W, M, C).  The rows are split evenly among
     ``rngs``: generator i draws the normals of the i-th share of rows, in
-    row-major order, at every step.
+    row-major order, at every step.  A tile is a band of whole rows when a
+    row fits in ``_TILE`` entries, else a span of whole level-1 blocks of
+    one row.  Either way the tiles visit x in row-major order, so a tile
+    draws its normals just before it uses them, part by part from the
+    generator of each share it covers, into one reused buffer of at most
+    ``_TILE`` entries: no (W, C) normals array is allocated.
     """
     W, C = x.shape
     N, dt, R1 = ctx.N, ctx.dt, ctx.drift_tails[0]
     coarse_levels = len(ctx.drift_tails) > 1     # else the coarse drift is 0
     rows = W // len(rngs)
-    span = max(N, _TILE // W // N * N)     # whole level-1 blocks per tile
-    normals = np.empty_like(x)
+    if C <= _TILE:
+        band, span = _TILE // C, C
+    else:
+        band, span = 1, max(N, _TILE // N * N)
+    noise = np.empty(band * span)
+    tiles = [(top, lo) for top in range(0, W, band)
+             for lo in range(0, C, span)]
     clips = 0
     for _ in range(n_steps):
-        for i, rng in enumerate(rngs):
-            rng.standard_normal(out=normals[i * rows:(i + 1) * rows])
         m1, coarse = _drift_levels(x, N, ctx.drift_tails)
-        for lo in range(0, C, span):
-            xt = x[:, lo:lo + span]
+        for top, lo in tiles:
+            band_rows = slice(top, top + band)
+            xt = x[band_rows, lo:lo + span]
+            b = xt.shape[0]
+            normals = noise[:xt.size].reshape(xt.shape)
+            # the tile's rows of each generator's share, in order
+            for i in range(top // rows, (top + b - 1) // rows + 1):
+                part = slice(max(top, i * rows) - top,
+                             min(top + b, (i + 1) * rows) - top)
+                rngs[i].standard_normal(out=normals[part])
             blocks = slice(lo // N, (lo + span) // N)
-            inc = m1[:, blocks, None] - xt.reshape(W, -1, N)
+            inc = m1[band_rows, blocks, None] - xt.reshape(b, -1, N)
             inc *= R1
             if coarse_levels:
-                inc += coarse[:, blocks, None]
-            inc = inc.reshape(W, -1)
+                inc += coarse[band_rows, blocks, None]
+            inc = inc.reshape(b, -1)
             dy = ctx.g(xt)
             np.maximum(dy, 0.0, out=dy)
             dy *= dt
             np.sqrt(dy, out=dy)
-            dy *= normals[:, lo:lo + span]
+            dy *= normals
             inc += dy
             for m, (f, K) in enumerate(zip(ctx.exch_f, ctx.K)):
-                ym = y[:, m, lo:lo + span]
+                ym = y[band_rows, m, lo:lo + span]
                 np.subtract(xt, ym, out=dy)
                 dy *= f
                 ym += dy

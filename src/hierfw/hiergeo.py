@@ -164,9 +164,10 @@ def transition_kernel(t: float, target_level: int,
                       exp_: KernelExpansion) -> float:
     """Time-t probability a_t(0, eta) for any eta at distance ``target_level``.
 
-    Time is measured in units of one expected jump of the normalised walk.
-    Raises AccuracyError when the stored truncation cannot bound the
-    neglected tail below 1e-12.
+    t counts expected jumps: it is time t / q of the walk with pair rates
+    ``migration_matrix(spec)``, q = sum_{eta != 0} a(0, eta) being its
+    off-diagonal exit rate.  Raises AccuracyError when the stored truncation
+    cannot bound the neglected tail below 1e-12.
     """
     if t < 0:
         raise ParameterError("time must be non-negative")
@@ -190,7 +191,11 @@ def log_return_probability(log_t: np.ndarray,
                            exp_: KernelExpansion) -> np.ndarray:
     """log a_t(0,0) on a grid of log-times, safely for astronomically large t.
 
-    All distance-0 terms are positive, so the log-sum-exp is exact.  Raises
+    t counts expected jumps, as in ``transition_kernel``: it is time t / q
+    of the walk with pair rates ``migration_matrix(spec)``, q the
+    off-diagonal exit rate of colony 0, whose return probability is this
+    a_t(0,0) plus the uniform mass N^-L of the truncated group.  All
+    distance-0 terms are positive, so the log-sum-exp is exact.  Raises
     AccuracyError if the deepest stored eigen-rate is not yet frozen
     (h_L * t > 0.1) at the largest requested time, since then the
     truncated expansion is missing decaying mass it cannot represent.

@@ -343,6 +343,11 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
         "replicas: 8", "replicas: 1")), "run.replicas >= 2"),
     ("renorm-orbit", (TWO_COLONY_CFG, CHEAP_RENORM_CFG.replace(
         "grid_size: 5", "grid_size: 2")), "theta grid"),
+    # a depth beyond the stored coefficients is named by its config key
+    ("interaction-chain", ("dt: 0.005", "depth: 1"),
+     "interaction-chain needs run.depth <= model.levels - 1 = -1, found 1"),
+    ("profile", ("dt: 0.005", "depth: 1"),
+     "profile needs run.depth <= model.levels = 0, found 1"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))

@@ -1,6 +1,7 @@
 """Forward simulator: fixed points, oracles, conservation, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,53 @@ def test_advance_matches_reference_kernel(N, levels, width):
     assert clips == ref_clips
     assert np.max(np.abs(x - xr)) <= 1e-13
     assert np.max(np.abs(y - yr)) <= 1e-13
+
+
+@pytest.mark.parametrize("N,levels,width,tile", [
+    (3, 3, 1, 16),           # one 81-colony row in spans of 15, the last of 6
+    (3, 2, 2 * CHUNK, 100),  # 3-row bands of 27 colonies; one straddles chunks
+])
+def test_advance_tiling_leaves_numbers_unchanged(monkeypatch, N, levels,
+                                                 width, tile):
+    # each tile draws its own normals, so tile shapes must not move a draw:
+    # one row longer than a tile, and bands straddling two generators' rows
+    M = levels + 1
+    mp = small_params(N=N, levels=levels, c=(1.0,) * M, e=(1.0,) * M,
+                      K=(1.0,) * M, g=fisher_wright(4.0))
+    ctx = F._StepContext(mp, F.default_dt(mp))
+    start = stream(N, "tiling-state")
+    x = start.random((width, mp.n_colonies))
+    y = start.random((width, M, mp.n_colonies))
+    runs = []
+    for tile_entries in (tile, x.size):        # the second is one tile
+        monkeypatch.setattr(F, "_TILE", tile_entries)
+        xt, yt = x.copy(), y.copy()
+        rngs = [stream(3, "tiling", k) for k in range(max(1, width // CHUNK))]
+        runs.append((F._advance(xt, yt, 3, ctx, *rngs), xt, yt))
+    (clips, xt, yt), (one_clips, one_x, one_y) = runs
+    assert clips > 0
+    assert clips == one_clips
+    assert np.array_equal(xt, one_x)
+    assert np.array_equal(yt, one_y)
+
+
+def test_advance_memory_peak_is_a_fraction_of_the_state():
+    # the noise is drawn one tile at a time, so two steps hold the level
+    # means and one tile's temporaries (~0.36 x.nbytes), never a (W, C)
+    # normals array (1.0 x.nbytes)
+    mp = small_params(N=16, levels=4, c=(1.0,) * 5, e=(1.0,) * 5, K=(1.0,) * 5)
+    ctx = F._StepContext(mp, F.default_dt(mp))
+    x = np.full((1, mp.n_colonies), 0.5)
+    y = np.full((1, 5, mp.n_colonies), 0.5)
+    rng = stream(0, "memory")
+    tracemalloc.start()
+    try:
+        F._advance(x, y, 2, ctx, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mp.n_colonies == 1 << 20
+    assert peak < 0.5 * x.nbytes
 
 
 @pytest.mark.parametrize("N,levels", [(3, 3), (8, 2)])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hierfw import hiergeo
+from hierfw import forward, hiergeo
 from hierfw.hiergeo import (
     AccuracyError,
     KernelExpansion,
@@ -397,6 +397,27 @@ def test_log_return_matches_direct_kernel():
         direct = transition_kernel(t, 0, exp_)
         logged = float(np.exp(log_return_probability(np.log([t]), exp_)[0]))
         assert logged == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.mark.parametrize("N,L", [(3, 6), (4, 5)])
+@pytest.mark.parametrize("c", [2.0, 0.5])
+def test_return_probability_matches_migration_generator(N, L, c):
+    # The expansion's time t counts expected jumps, so it is the rate-matrix
+    # walk at time t / q, q the off-diagonal exit rate; c scales every rate,
+    # so q must absorb it.  The expansion drops the uniform mass N^-L.
+    spec = KernelSpec(N=N, c=(c,) * L)
+    exp_ = build_expansion(spec)
+    Q = hiergeo.migration_matrix(spec)
+    q = Q[0].sum()
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    start = np.zeros(len(Q))
+    start[0] = 1.0
+    for t in (0.1, 1.0, 10.0):
+        expansion = np.exp(log_return_probability(np.log([t]), exp_)[0])
+        generator = forward._generator_exp(Q, t / q, start)[0] - float(N) ** -L
+        assert expansion == pytest.approx(generator, rel=1e-12, abs=0.0)
+    with pytest.raises(AccuracyError):
+        log_return_probability(np.log([100.0]), exp_)
 
 
 def test_kernel_table_rows():
