@@ -400,6 +400,9 @@ def _theta_grid(run: dict) -> np.ndarray:
 def cmd_renorm_orbit(job: Job) -> tuple:
     mp, run, out = job.model, job.run, job.outdir
     depth = run.get("depth", 5)
+    if not 1 <= depth <= mp.levels + 1:
+        raise ConfigError(f"orbit depth must satisfy 1 <= run.depth <= "
+                          f"model.levels + 1 = {mp.levels + 1}, found {depth}")
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, min(mp.levels + 1, depth + 1))
     _budget(run)      # the exact orbit samples nothing; the budget is checked
@@ -455,9 +458,9 @@ def cmd_interaction_chain(job: Job) -> tuple:
 
 def cmd_profile(job: Job) -> tuple:
     depth = job.run.get("depth", job.model.levels)
-    if depth > job.model.levels:
-        raise ConfigError(f"profile needs run.depth <= model.levels = "
-                          f"{job.model.levels}, found {depth}")
+    if not 2 <= depth <= job.model.levels:
+        raise ConfigError(f"profile depth must satisfy 2 <= run.depth <= "
+                          f"model.levels = {job.model.levels}, found {depth}")
     coeffs = params.compute_A(job.model, params.derive(job.model), depth + 1)
     values = renorm.volatility_profile(depth, coeffs)
     summary = {"depth": depth,

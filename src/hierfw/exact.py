@@ -6,7 +6,10 @@ faster than the slow relaxation (r = E c / e >= 1/32) the pair is replaced
 by an upwind Markov chain on a uniform (x, y) grid (Kushner & Dupuis,
 *Numerical Methods for Stochastic Control Problems in Continuous Time*),
 whose stationary law is solved by block elimination over x-slices on two
-grids, h and h/2, and combined by the Richardson step 2 F_{h/2} - F_h.
+grids, h and h/2, and combined by the Richardson step 2 F_{h/2} - F_h.  The
+drift centres of a theta grid are eliminated together, in groups within a
+byte budget: each x-slice is one stacked solve over the group's centres,
+and a centre's value is bitwise the same in any group.
 Where r < 1/32, x and y lock together and the weighted mean
 u = (x + EK y)/(1+EK) diffuses alone (averaging; Pavliotis & Stuart,
 *Multiscale Methods*); F g is then the mean of g under u's speed-measure
@@ -34,6 +37,11 @@ from .diffusion import DiffusionFn
 _AVERAGED_BELOW = 1.0 / 32.0
 _FINE_BELOW = 1.0
 _CHAIN_GRIDS = {"mca-21/41": (21, 41), "mca-41/81": (41, 81)}
+# The chain's drift centres are eliminated in groups whose stacked
+# (nodes, n, n + 2) right-hand side fits in this many bytes (always at least
+# one node): enough to amortise a solve's call overhead on the 21/41 grids,
+# little enough that exact_F on 19 centres peaks below 1 MiB on either pair.
+_STACK_BYTES = 128 * 1024
 
 
 def exact_method(E: float, c: float, e: float) -> str:
@@ -53,13 +61,14 @@ def exact_F(g: DiffusionFn, E: float, c: float, K: float, e: float,
         lam = 2.0 * c * (1.0 + E * K) / E
         return np.array([_averaged_mean_g(g, lam, t) for t in thetas])
     coarse, fine = _CHAIN_GRIDS[method]
-    return np.array([2.0 * _mca_mean_g(g, E, c, K, e, t, fine)
-                     - _mca_mean_g(g, E, c, K, e, t, coarse) for t in thetas])
+    return (2.0 * _mca_mean_g(g, E, c, K, e, thetas, fine)
+            - _mca_mean_g(g, E, c, K, e, thetas, coarse))
 
 
-def _mca_mean_g(g: DiffusionFn, E, c, K, e, theta, n) -> float:
+def _mca_mean_g(g: DiffusionFn, E, c, K, e, thetas, n) -> np.ndarray:
     """E[g(x)] under the stationary law of the upwind Markov-chain
-    approximation of the pair on n x n uniform grid points.
+    approximation of the pair on n x n uniform grid points, at each drift
+    centre theta of ``thetas``.
 
     x moves one cell at rate (E^2 g/2 + h b_x^{+/-}) / h^2 with the drift
     b_x = E [c (theta - x) + K e (y - x)], and y one cell toward x at rate
@@ -71,54 +80,114 @@ def _mca_mean_g(g: DiffusionFn, E, c, K, e, theta, n) -> float:
     needed, f^T pi = (M^-T f)_p for f = g(x) and f = 1, so the transposed
     system is solved for those two right-hand sides, eliminating x-slices
     with dense Schur complements from both edges toward the slice of p: no
-    back-substitution, and one n x n block held at a time.
+    back-substitution.
+
+    The drift centres are taken in order of p, in groups of as many as keep
+    one stacked (group, n, n + 2) right-hand side within ``_STACK_BYTES``.
+    A group's two sweeps run over x-slices, each slice one stacked solve for
+    the centres still eliminating it: those with p above the slice, a suffix
+    of the group, in the sweep from x = 0, and those with p below it, a
+    prefix, in the sweep from x = 1.  Every matrix and right-hand side is
+    built elementwise as it would be for its centre alone, and the stacked
+    solve factors each matrix apart, so a centre's value does not depend on
+    the group it falls in.
     """
     h = 1.0 / (n - 1)
     x = np.linspace(0.0, 1.0, n)
     gx = np.maximum(g(x), 0.0)
+    thetas = np.asarray(thetas, dtype=float)
+    result = np.zeros(thetas.size)
     if not np.any(gx > 0.0):
-        return 0.0
-    bx = E * (c * (theta - x)[:, None] + K * e * (x[None, :] - x[:, None]))
-    half_var = (0.5 * E * E / h ** 2) * gx[:, None]
-    up = half_var + np.maximum(bx, 0.0) / h            # (i, j) -> (i+1, j)
-    down = half_var + np.maximum(-bx, 0.0) / h         # (i, j) -> (i-1, j)
+        return result
+    half_var = (0.5 * E * E / h ** 2) * gx
+    push = K * e * (x[None, :] - x[:, None])      # b_x / E - c (theta - x)
     by = (e / h) * (x[:, None] - x[None, :])
     y_up, y_down = np.maximum(by, 0.0), np.maximum(-by, 0.0)
-    out = up + down + y_up + y_down
-    pin = int(round(theta / h))
-    # the pinned row of M takes no flow in from the neighbouring x-slices
-    if pin > 0:
-        up[pin - 1, pin] = 0.0
-    if pin < n - 1:
-        down[pin + 1, pin] = 0.0
 
-    def block(i):
-        """Diagonal block i of M^T and its right-hand sides [g(x_i), 1]."""
-        D = np.diag(-out[i]) + np.diag(y_up[i, :-1], 1) + np.diag(y_down[i, 1:], -1)
-        if i == pin:
-            D[:, pin] = 0.0
-            D[pin, pin] = 1.0
-        return D, np.column_stack([np.full(n, gx[i]), np.ones(n)])
+    def rates(i, pull, pin):
+        """Rates up ((i, j) -> (i+1, j)), down ((i, j) -> (i-1, j)) and out
+        of x-slice i, a row per centre, for pull = c (theta - x) and pinned
+        y-index pin per centre; i is one slice or one per centre."""
+        bx = E * (pull[np.arange(len(pin)), i][:, None] + push[i])
+        hv = np.reshape(half_var[i], (-1, 1))
+        up = hv + np.maximum(bx, 0.0) / h
+        down = hv + np.maximum(-bx, 0.0) / h
+        out = up + down + y_up[i] + y_down[i]
+        # the pinned row of M takes no flow in from the neighbouring x-slices
+        k = pin == i + 1
+        up[k, pin[k]] = 0.0
+        k = pin == i - 1
+        down[k, pin[k]] = 0.0
+        return up, down, out
 
-    def eliminate(slices, step, into, back):
-        """Schur block and right-hand sides that eliminating ``slices`` in
-        order leaves on the pinned slice.  Slice i moves to its neighbour
-        i + step at rates into[i] and back at rates back[i + step]; M^T couples
-        slice i to the neighbour through diag(into[i]) and the neighbour to i
-        through diag(back[i + step])."""
-        T, R = np.zeros((n, n)), np.zeros((n, 2))
+    def diagonal(i, out, D):
+        """Write into D the diagonal blocks of M^T at x-slice i, a block per
+        row of out."""
+        D.fill(0.0)
+        flat = D.reshape(len(D), n * n)
+        flat[:, ::n + 1] -= out
+        flat[:, 1::n + 1] += y_up[i, :-1]
+        flat[:, n::n + 1] += y_down[i, 1:]
+        return D
+
+    def schur_step(i, out, into, back, T, R, A, B):
+        """Eliminate x-slice i in place: T and R enter as the Schur blocks
+        and right-hand sides that the slices before i leave on it, and leave
+        as those it leaves on its neighbour.  The slice moves to the
+        neighbour at rates into and back at rates back; M^T couples it to
+        the neighbour through diag(into) and the neighbour to it through
+        diag(back).  A and B are work space, B zero but on its diagonal and
+        in its last two columns."""
+        A, B = diagonal(i, out, A[:len(T)]), B[:len(T)]
+        A -= T
+        B.reshape(len(B), -1)[:, ::n + 3] = into
+        np.subtract(gx[i], R[..., 0], out=B[..., n])
+        np.subtract(1.0, R[..., 1], out=B[..., n + 1])
+        X = np.linalg.solve(A, B)
+        np.multiply(back[..., None], X[..., :n], out=T)
+        np.multiply(back[..., None], X[..., n:], out=R)
+
+    def sweep(step, pull, pin, D, C):
+        """Subtract from each centre's pinned block D and right-hand sides C
+        the Schur block and right-hand sides that eliminating x-slices in
+        order, from x = 0 (step 1) or x = 1 (step -1) up to its pinned
+        slice, leaves there."""
+        m = len(pin)
+        T, R = np.zeros((m, n, n)), np.zeros((m, n, 2))
+        # work space reused by every slice: fresh (m, n, n) arrays at each
+        # slice made the 41/81 pair slower than one centre at a time
+        A, B = np.empty((m, n, n)), np.zeros((m, n, n + 2))
+        slices = range(pin[-1]) if step == 1 else range(n - 1, pin[0], -1)
+        side = int(step == -1)          # into is up from x = 0, down from 1
+        after = rates(slices[0], pull, pin) if slices else None
         for i in slices:
-            D, C = block(i)
-            X = np.linalg.solve(D - T, np.column_stack([np.diag(into[i]), C - R]))
-            lower = back[i + step][:, None]
-            T, R = lower * X[:, :n], lower * X[:, n:]
-        return T, R
+            now, after = after, rates(i + step, pull, pin)
+            # the centres still eliminating: pin > i, a suffix, or pin < i
+            k = (slice(np.searchsorted(pin, i, "right"), m) if step == 1
+                 else slice(0, np.searchsorted(pin, i, "left")))
+            schur_step(i, now[2][k], now[side][k], after[1 - side][k],
+                       T[k], R[k], A, B)
+        D -= T
+        C -= R
 
-    T_lo, R_lo = eliminate(range(pin), 1, up, down)
-    T_hi, R_hi = eliminate(range(n - 1, pin, -1), -1, down, up)
-    D, C = block(pin)
-    w = np.linalg.solve(D - T_lo - T_hi, C - R_lo - R_hi)[pin]
-    return float(w[0] / w[1])
+    pins = np.rint(thetas / h).astype(int)
+    order = np.argsort(pins, kind="stable")
+    size = max(1, _STACK_BYTES // (8 * n * (n + 2)))
+    for first in range(0, order.size, size):
+        nodes = order[first:first + size]
+        pin, rows = pins[nodes], np.arange(nodes.size)
+        pull = c * (thetas[nodes][:, None] - x)
+        D = diagonal(pin, rates(pin, pull, pin)[2],
+                     np.empty((nodes.size, n, n)))
+        D[rows, :, pin] = 0.0
+        D[rows, pin, pin] = 1.0
+        C = np.ones((nodes.size, n, 2))
+        C[..., 0] = gx[pin][:, None]
+        sweep(1, pull, pin, D, C)
+        sweep(-1, pull, pin, D, C)
+        w = np.linalg.solve(D, C)[rows, pin]
+        result[nodes] = w[:, 0] / w[:, 1]
+    return result
 
 
 def _averaged_mean_g(g: DiffusionFn, lam: float, theta: float) -> float:

@@ -245,7 +245,7 @@ class FGrid:
 
 
 def _on_grid(theta_grid, interior_F) -> tuple:
-    """Check a theta grid and evaluate F g on it.
+    """Check a theta grid, before any evaluation, and evaluate F g on it.
 
     ``interior_F(nodes)`` returns per-node arrays at the interior nodes, F g
     first.  Each is pinned to zero (False for flags) at the endpoints: the
@@ -259,6 +259,8 @@ def _on_grid(theta_grid, interior_F) -> tuple:
     if grid.size < 3 or grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValueError("theta grid must include the endpoints 0 and 1 "
                          "and at least one interior node")
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValueError("theta grid must be strictly increasing")
 
     def pinned(values):
         values = np.asarray(values)

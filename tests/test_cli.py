@@ -347,7 +347,15 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("interaction-chain", ("dt: 0.005", "depth: 1"),
      "interaction-chain needs run.depth <= model.levels - 1 = -1, found 1"),
     ("profile", ("dt: 0.005", "depth: 1"),
-     "profile needs run.depth <= model.levels = 0, found 1"),
+     "profile depth must satisfy 2 <= run.depth <= model.levels = 0, found 1"),
+    ("renorm-orbit", ("dt: 0.005", "depth: 2"),
+     "orbit depth must satisfy 1 <= run.depth <= model.levels + 1 = 1, found 2"),
+    ("renorm-orbit", ("dt: 0.005", "depth: 0"),
+     "orbit depth must satisfy 1 <= run.depth <= model.levels + 1 = 1, found 0"),
+    # the default depth, model.levels, is too shallow for a one-level model
+    ("profile", (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
+                 .replace("[1.0]", "[1.0, 1.0]")),
+     "profile depth must satisfy 2 <= run.depth <= model.levels = 1, found 1"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))

@@ -215,6 +215,20 @@ def test_F_grid_requires_an_interior_node():
         R.sample_F(FW, 1, 1, 1, 1, grid, SMALL, seed=9)
 
 
+def test_F_grid_order_is_checked_before_any_evaluation(monkeypatch):
+    # a grid out of order is refused before F is evaluated at any node
+    def evaluated(*args):
+        raise AssertionError("F evaluated on a grid out of order")
+
+    monkeypatch.setattr(X, "exact_F", evaluated)
+    monkeypatch.setattr(R, "_equilibria", evaluated)
+    for grid in ([0.0, 0.6, 0.4, 1.0], [0.0, 0.5, 0.5, 1.0]):
+        with pytest.raises(ValueError, match="theta grid must be strictly"):
+            R.evaluate_F(FW, 1, 1, 1, 1, np.array(grid))
+        with pytest.raises(ValueError, match="theta grid must be strictly"):
+            R.sample_F(FW, 1, 1, 1, 1, np.array(grid), SMALL, seed=9)
+
+
 @pytest.mark.slow
 def test_F_on_fw_family_matches_recursion():
     # (F g_FW)(theta) = d/(1 + d A_0^0) theta(1-theta) per node within 3 SE
