@@ -340,8 +340,8 @@ def cmd_simulate_forward(job: Job) -> tuple:
     summary = {
         "horizon": horizon, "clip_fraction": rec.clip_fraction,
         "flagged": rec.flagged,
-        "grand_mean_first": float(rec.grand_mean[0]),
-        "grand_mean_last": float(rec.grand_mean[-1]),
+        "grand_mean_first": float(rec.theta_bar[0, -1]),
+        "grand_mean_last": float(rec.theta_bar[-1, -1]),
     }
     return summary, files + [write_json(out / "summary.json", summary)]
 
@@ -430,9 +430,10 @@ def cmd_interaction_chain(job: Job) -> tuple:
     if n_replicas < 2:
         raise ConfigError("interaction-chain needs run.replicas >= 2 for "
                           "its variances")
-    if depth > mp.levels - 1:
-        raise ConfigError(f"interaction-chain needs run.depth <= model.levels "
-                          f"- 1 = {mp.levels - 1}, found {depth}")
+    if not 0 <= depth <= mp.levels - 1:
+        raise ConfigError(f"interaction-chain depth must satisfy 0 <= run.depth"
+                          f" <= model.levels - 1 = {mp.levels - 1}, found "
+                          f"{depth}")
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, depth + 2)
     budget = _budget(run)

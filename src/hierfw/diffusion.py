@@ -52,7 +52,10 @@ class DiffusionFn:
         if values[0] != 0.0 or values[-1] != 0.0:
             raise ValueError("grid values must vanish at the endpoints")
         x = nodes[1:-1]
-        h = values[1:-1] / (x * (1.0 - x))
+        with np.errstate(over="ignore"):
+            h = values[1:-1] / (x * (1.0 - x))
+        if not np.all(np.isfinite(h)):
+            raise ValueError("grid values overflow h = g / (x(1-x))")
         return cls(nodes, np.concatenate([h[:1], h, h[-1:]]) if len(h)
                    else np.zeros(2))
 

@@ -6,17 +6,19 @@ lineages migrate with the reversed kernel (symmetric here), fall asleep into
 colour m at rate K_m e_m N^-m, coalesce pairwise at rate d when active at
 the same colony; m-dormant lineages wake at rate e_m N^-m.  Since the duality
 function only depends on occupation counts, the dual is simulated as a CTMC
-on count configurations rather than labelled partitions.  Its generator is
-built from the single-lineage generator ``forward.lineage_generator``: each
-of the n lineages on a site moves by that generator's rates, and each active
-pair at a colony coalesces at rate d.
+on count configurations, one (S, M + 1, C) array, rather than labelled
+partitions.  Its generator is built, one site at a time for all states, from
+the single-lineage generator ``forward.lineage_generator``: each of the n
+lineages on a site moves by its rates, and each active pair at a colony
+coalesces at rate d.
 
-The moment duality  E_z[ H(z(t), l) ] = E_l[ H(z, L(t)) ]  with
-H(z, l) = prod_sites z^l is checked Monte Carlo against Monte Carlo, with the
-dual side cross-checkable on small systems by exp(Q t) H, the action of the
-exponential of the count-CTMC generator Q on the vector of H values,
-computed by uniformisation (``forward._generator_exp``).  Both dual sides
-run on one count chain (Q, start state, H), built once per check.
+The moment duality  E_z[ H(z(t), l) ] = E_l[ H(z, L(t)) ]  with H(z, l) =
+prod_sites z^l, one ``duality_function`` for replicas and count states, is
+checked Monte Carlo against Monte Carlo. On small systems exp(Q t) H, the
+action of the exponential of the count-CTMC generator Q on the vector of H
+values by uniformisation (``forward._generator_exp``), cross-checks the dual
+side.  Both dual sides run on one count chain (Q, start state, H), built once
+per check.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ class DualConfig:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def copy(self) -> "DualConfig":
-        return DualConfig(self.counts.copy())
 
     @classmethod
     def actives(cls, params: ModelParams, placement: dict) -> "DualConfig":
@@ -127,8 +126,7 @@ def simulate_dual(cfg0: DualConfig, params: ModelParams, horizon: float,
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     ctx = _DualContext(params)
-    cfg = cfg0.copy()
-    counts = cfg.counts
+    counts = cfg0.counts.copy()
     # lineages[role] holds one site per lineage: role 0 active, m+1 m-dormant
     roles, sites = np.nonzero(counts)
     lineages = [[] for _ in counts]
@@ -194,7 +192,7 @@ def simulate_dual(cfg0: DualConfig, params: ModelParams, horizon: float,
             arrive(0, site)
             event = (t, "wake", site, colour)
         log.append(event)
-    return log, cfg
+    return log, DualConfig(counts)
 
 
 def _pick(weights, u: float) -> int:
@@ -230,60 +228,68 @@ def count_sites(params: ModelParams, n_max: int) -> int:
     return n_sites
 
 
-def enumerate_count_states(params: ModelParams, n_max: int) -> list:
-    """All occupation-count configurations with 1 <= total <= n_max;
-    SizeError, before any is built, beyond 5000 of them."""
+def enumerate_count_states(params: ModelParams, n_max: int) -> np.ndarray:
+    """All occupation-count configurations with 1 <= total <= n_max, as one
+    (S, M + 1, C) int array: by total, then in the
+    ``itertools.combinations_with_replacement`` order of the lineages'
+    sites.  SizeError, before any is built, beyond 5000 of them."""
     n_sites = count_sites(params, n_max)
-    shape = (params.levels + 2, params.n_colonies)
-    return [np.bincount(combo, minlength=n_sites).reshape(shape)
-            for n in range(1, n_max + 1)
-            for combo in itertools.combinations_with_replacement(
-                range(n_sites), n)]
+    states = [np.zeros((0, n_sites), dtype=np.intp)]
+    for n in range(1, n_max + 1):
+        sites = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(n_sites), n)),
+            dtype=np.intp).reshape(-1, n, 1)  # a state's lineages per row
+        states.append((sites == np.arange(n_sites)).sum(axis=1))
+    return np.concatenate(states).reshape(
+        -1, params.levels + 2, params.n_colonies)
 
 
-def dual_generator(params: ModelParams, states: list) -> np.ndarray:
+def dual_generator(params: ModelParams, states: np.ndarray) -> np.ndarray:
     """CTMC generator of the block-counting process on enumerated states.
 
     With q the single-lineage generator on sites role * C + colony, a site a
     holding n lineages sends one to site b at rate n q(a, b), and n active
     lineages at one colony lose one to coalescence at rate d n (n - 1) / 2.
-    Jumps to states outside ``states`` are dropped.
+    Jumps out of site a are built for all states at once, their targets found
+    by binary search on sorted byte keys; those outside ``states`` are dropped.
     """
     d = params.g.d
     if d is None:
         raise DualityError("coalescence needs a Fisher-Wright rate d")
     q = lineage_generator(params)
     np.fill_diagonal(q, 0.0)
-    targets = [np.flatnonzero(row) for row in q]
-    C = params.n_colonies
-    index = {s.tobytes(): i for i, s in enumerate(states)}
+    flat = np.ascontiguousarray(states).reshape(len(states), -1)
+    keys = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
     Q = np.zeros((len(states), len(states)))
-
-    def add(i, new, rate):
-        j = index.get(new.tobytes())
-        if j is not None:
-            Q[i, j] += rate
-
-    for i, s in enumerate(states):
-        flat = s.reshape(-1)
-        for a in np.flatnonzero(flat):
-            n = flat[a]
-            new = flat.copy()
-            new[a] -= 1
-            if a < C and n >= 2:
-                add(i, new, d * n * (n - 1) / 2.0)
-            for b in targets[a]:
-                new[b] += 1
-                add(i, new, n * q[a, b])
-                new[b] -= 1
+    for a in range(flat.shape[1]):
+        i = np.flatnonzero(flat[:, a])
+        n = flat[i, a]
+        b = np.flatnonzero(q[a])
+        # one lineage leaves a: for b, or at an active site by coalescence
+        coal = int(a < params.n_colonies)
+        moves = np.zeros((coal + len(b), flat.shape[1]), dtype=flat.dtype)
+        moves[coal + np.arange(len(b)), b] = 1
+        moves[:, a] -= 1
+        rates = np.column_stack([d * n * (n - 1) / 2.0] * coal
+                                + [n[:, None] * q[a, b]]).ravel()
+        new = (flat[i, None] + moves).reshape(-1, flat.shape[1])
+        new = new.view(keys.dtype).ravel()
+        j = order[np.minimum(np.searchsorted(sorted_keys, new), len(Q) - 1)]
+        hit = (keys[j] == new) & (rates > 0)    # rate 0: n = 1, no pair
+        Q[np.repeat(i, len(moves))[hit], j[hit]] = rates[hit]
     np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
     return Q
 
 
-def duality_function(state: SystemState, counts: np.ndarray) -> float:
-    """H(z, l) = prod_colonies x^{l_A} prod_m y_m^{l_{D_m}}  (0^0 = 1)."""
-    return float(np.prod(state.x ** counts[0]) *
-                 np.prod(state.y ** counts[1:]))
+def duality_function(state: SystemState, counts: np.ndarray):
+    """H(z, l) = prod_colonies x^{l_A} prod_m y_m^{l_{D_m}}  (0^0 = 1).
+
+    Broadcast over the leading axes of the state (replicas: x (..., C) and
+    y (..., M, C)) or of the counts (states: (..., M + 1, C))."""
+    return (np.prod(state.x ** counts[..., 0, :], axis=-1)
+            * np.prod(state.y ** counts[..., 1:, :], axis=(-2, -1)))
 
 
 def _count_chain(params: ModelParams, z: SystemState,
@@ -293,10 +299,9 @@ def _count_chain(params: ModelParams, z: SystemState,
     if cfg0.total < 1:
         raise ValueError("the dual needs at least one lineage")
     states = enumerate_count_states(params, cfg0.total)
-    start = {s.tobytes(): i for i, s in enumerate(states)}[
-        cfg0.counts.astype(int).tobytes()]
-    H = np.array([duality_function(z, s) for s in states])
-    return dual_generator(params, states), start, H
+    (start,) = np.flatnonzero((states == cfg0.counts).all(axis=(1, 2)))
+    return (dual_generator(params, states), int(start),
+            duality_function(z, states))
 
 
 def exact_dual_moment(Q: np.ndarray, start: int, H: np.ndarray,
@@ -410,15 +415,10 @@ def duality_estimate(params: ModelParams, z: SystemState, cfg0: DualConfig,
         raise DualityError("moment duality holds for g = d * x(1-x) only; "
                            "got a tabulated g")
     chain = _count_chain(params, z, cfg0)
-    counts = cfg0.counts
-
-    def reducer(x, y):
-        vals = np.prod(x ** counts[0][None, :], axis=1)
-        vals *= np.prod(y ** counts[1:][None, :, :], axis=(1, 2))
-        return vals[:, None]
-
-    mean, se, _ = ensemble_reduce(params, z, (t,), n_replicas, seed, reducer,
-                                  dt=dt, label="duality-forward")
+    mean, se, _ = ensemble_reduce(
+        params, z, (t,), n_replicas, seed,
+        lambda x, y: duality_function(SystemState(x, y), cfg0.counts)[:, None],
+        dt=dt, label="duality-forward")
     rhs, rhs_se = _sample_dual_H(*chain, t, n_replicas, seed)
     exact = exact_dual_moment(*chain, t)
     return DualityReport(lhs=float(mean[0, 0]), lhs_se=float(se[0, 0]),

@@ -9,8 +9,9 @@ Discretisation: Euler-Maruyama for migration and noise.  The exchange terms
 use matched increments  dy_m = (x - y_m) f_m,  dx += sum K_m (y_m - x) f_m
 with f_m = 1 - exp(-e_m N^-m dt), which integrates the dormant relaxation exactly over the step and conserves the
 weighted population mean exactly in discrete time, removing the stiffness of
-fast colours.  States are clipped to [0,1] after each step; clip events are
-counted and a run whose clip frequency exceeds 1% is flagged.
+fast colours.  x is clipped to [0,1] after each step; clip events are
+counted and a run whose clip frequency exceeds 1% is flagged.  y_m needs no
+clip: for x, y_m and f_m in [0,1], y_m + f_m (x - y_m) rounds into [0,1].
 
 Colonies are indexed little-endian by their digit strings, so the level-l
 blocks are contiguous slices of length N^l and block averages are reshaped
@@ -119,14 +120,10 @@ class _StepContext:
     def __init__(self, params: ModelParams, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.params = params
         self.dt = dt
         self.N = params.N
-        self.C = params.n_colonies
-        self.M = params.levels + 1
         spec = params.kernel_spec()
         self.level_rates = spec.level_rates()          # c_{l-1} / N^{l-1}
-        self.exch_rates = params.exchange_rates()      # e_m / N^m
         self.K = np.asarray(params.K, dtype=float)
         total = _total_rate(params)
         if dt * total > 1.0:
@@ -134,7 +131,7 @@ class _StepContext:
                 f"dt * total rate = {dt * total:.3g} > 1; reduce dt below "
                 f"{1.0 / total:.3g}"
             )
-        self.exch_f = 1.0 - np.exp(-self.exch_rates * dt)
+        self.exch_f = 1.0 - np.exp(-params.exchange_rates() * dt)
         # R_l dt with R_l = sum_{k>=l} level_rates[k-1]; see _drift_levels
         self.drift_tails = np.cumsum(self.level_rates[::-1])[::-1] * dt
         self.g = params.g
@@ -243,7 +240,6 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
                 np.subtract(xt, ym, out=dy)
                 dy *= f
                 ym += dy
-                np.clip(ym, 0.0, 1.0, out=ym)
                 dy *= K
                 inc -= dy
             xt += inc
@@ -290,7 +286,6 @@ class TrajectoryRecord:
     theta_bar: np.ndarray             # (T, L)
     theta_x: np.ndarray               # (T, L)
     theta_y: np.ndarray               # (T, L, M)
-    grand_mean: np.ndarray            # (T,) conserved-quantity monitor
     clip_fraction: float
     flagged: bool
     snapshots_x: Optional[np.ndarray] = None   # (T, C)
@@ -346,7 +341,7 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
     M, C = params.levels + 1, params.n_colonies
     T, L = len(steps_at), M + 1      # levels 0 .. M; level M is the whole system
     theta_bar, theta_x = np.empty((T, L)), np.empty((T, L))
-    theta_y, grand_mean = np.empty((T, L, M)), np.empty(T)
+    theta_y = np.empty((T, L, M))
     snapshots_x = np.empty((T, C)) if plan.snapshots else None
     snapshots_y = np.empty((T, M, C)) if plan.snapshots else None
     clips = 0
@@ -357,14 +352,13 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
         for l in range(L):
             theta_bar[i, l], theta_x[i, l], theta_y[i, l] = estimator_arrays(
                 x[0], y[0], K, l, params.N)
-        grand_mean[i] = theta_bar[i, -1]
         if plan.snapshots:
             snapshots_x[i] = x[0]
             snapshots_y[i] = y[0]
     clip_fraction = clips / (max(done, 1) * C)
     return TrajectoryRecord(
         times=np.asarray(steps_at, dtype=float) * dt, levels=np.arange(L),
-        theta_bar=theta_bar, theta_x=theta_x, theta_y=theta_y, grand_mean=grand_mean,
+        theta_bar=theta_bar, theta_x=theta_x, theta_y=theta_y,
         clip_fraction=clip_fraction, flagged=clip_fraction > 0.01,
         snapshots_x=snapshots_x, snapshots_y=snapshots_y)
 
@@ -378,6 +372,9 @@ def _record_steps(times: Sequence[float], dt: float) -> list:
     """Step index of each record time; times must be >= 0 and non-decreasing."""
     if any(t < 0 for t in times):
         raise ValueError("record times must be non-negative")
+    for t in times:
+        if math.isinf(float(t) / dt):
+            raise ValueError(f"record time {t:g} / dt = {dt:g} overflows")
     steps = [int(round(t / dt)) for t in times]
     if sorted(steps) != steps:
         raise ValueError("record times must be non-decreasing")

@@ -363,15 +363,11 @@ def iterate_F_scaled(g: DiffusionFn, params: ModelParams,
 class ChainSample:
     """Replica ensemble of the interaction chain M^k_{-l}.
 
-    x[l] and y[l] hold the active and effective-colour values drawn at the
-    step from -(l+1) to -l; colours below l equal x[l], colours above k keep
-    their declared initial means.
+    x[l] holds the active values drawn at the step from -(l+1) to -l.
     """
 
-    k: int
     theta_start: float
     x: np.ndarray      # (k+1, R), level index l = row
-    y: np.ndarray      # (k+1, R)
 
 
 def sample_interaction_chain(k: int, params: ModelParams,
@@ -382,8 +378,8 @@ def sample_interaction_chain(k: int, params: ModelParams,
 
     The step -(l+1) -> -l draws (x_l, y_{l,l}) from the level-l equilibrium
     centred at the current active value (endpoint mode: one independent
-    trajectory per replica), sets the fast colours equal to x_l and carries
-    the slow colours; only the active value feeds the next level down.
+    trajectory per replica); only the active value x_l is kept, and it
+    centres the next level down.
     """
     if len(g_orbit) < k + 1:
         raise ValueError("g_orbit must provide F^(l) g for l = 0..k")
@@ -391,7 +387,6 @@ def sample_interaction_chain(k: int, params: ModelParams,
     R = n_replicas
     centre = np.full(R, theta0)
     xs = np.empty((k + 1, R))
-    ys = np.empty((k + 1, R))
     for l in range(k, -1, -1):
         integ = _PairIntegrator(float(derived.E[l]), params.c[l], params.K[l],
                                 params.e[l], g_orbit[l], budget.dt_factor)
@@ -399,10 +394,8 @@ def sample_interaction_chain(k: int, params: ModelParams,
         x = centre.copy()
         y = centre.copy()
         integ.advance(x, y, centre, integ.steps_for(budget.burn), rng)
-        xs[l] = x
-        ys[l] = y
-        centre = x.copy()
-    return ChainSample(k=k, theta_start=theta0, x=xs, y=ys)
+        xs[l] = centre = x
+    return ChainSample(theta_start=theta0, x=xs)
 
 
 def chain_moment_predictions(k: int, derived: DerivedParams,

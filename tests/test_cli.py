@@ -12,6 +12,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -302,7 +303,9 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("simulate-dual", ("dt: 0.005", "horizon: -1"), "horizon must be non-negative"),
     ("renorm-orbit", ("dt: 0.005", "depth: -1"), "orbit depth"),
     ("renorm-orbit", ("dt: 0.005", "depth: 0"), "orbit depth"),
-    ("interaction-chain", ("dt: 0.005", "depth: -1"), "orbit depth"),
+    ("interaction-chain", ("dt: 0.005", "depth: -1"),
+     "interaction-chain depth must satisfy 0 <= run.depth <= model.levels - 1 "
+     "= -1, found -1"),
     ("classify", ("\n  d: 1.0\n", "\n  d: 0.05\n"), "model.d = 0.05"),
     ("classify", ("kind: fisher_wright\n    d: 1.0",
                   "kind: grid\n    nodes: [0.0, 0.5, 1.0]\n    values: [0.0, 0.1, 0.0]"),
@@ -345,7 +348,8 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
         "grid_size: 5", "grid_size: 2")), "theta grid"),
     # a depth beyond the stored coefficients is named by its config key
     ("interaction-chain", ("dt: 0.005", "depth: 1"),
-     "interaction-chain needs run.depth <= model.levels - 1 = -1, found 1"),
+     "interaction-chain depth must satisfy 0 <= run.depth <= model.levels - 1 "
+     "= -1, found 1"),
     ("profile", ("dt: 0.005", "depth: 1"),
      "profile depth must satisfy 2 <= run.depth <= model.levels = 0, found 1"),
     ("renorm-orbit", ("dt: 0.005", "depth: 2"),
@@ -356,6 +360,17 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("profile", (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
                  .replace("[1.0]", "[1.0, 1.0]")),
      "profile depth must satisfy 2 <= run.depth <= model.levels = 1, found 1"),
+    # the default depth, 4, is too deep for a one-level model
+    ("interaction-chain", (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
+                           .replace("[1.0]", "[1.0, 1.0]")),
+     "interaction-chain depth must satisfy 0 <= run.depth <= model.levels - 1 "
+     "= 0, found 4"),
+    # t / dt overflows: one line, not an OverflowError traceback; the first
+    # record time to overflow in simulate-forward is the second of 11, 1e307
+    ("simulate-forward", ("dt: 0.005", "dt: 0.005\n  horizon: 1e308"),
+     "record time 1e+307 / dt = 0.005 overflows"),
+    ("duality-check", ("t: 1.0\n  replicas: 4000", "t: 1e308\n  replicas: 10"),
+     "record time 1e+308 / dt = 0.005 overflows"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -365,6 +380,20 @@ def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (out / "manifest.json").exists()
+
+
+def test_overflowing_h_is_one_line_without_a_warning(tmp_path, capsys):
+    # g(0.5) = 1e308 is finite, but h = g / (x(1-x)) = 4e308 is not
+    text = TWO_COLONY_CFG.replace(
+        "g:\n    kind: fisher_wright\n    d: 1.0",
+        "g: {kind: grid, nodes: [0, 0.5, 1], values: [0, 1e308, 0]}")
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["classify", "--config", cfg, "--out", tmp_path / "o",
+                    "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid model block: grid values overflow h = g / (x(1-x))\n")
 
 
 def test_exponent_strings_read_as_numbers(tmp_path):

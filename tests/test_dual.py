@@ -1,5 +1,6 @@
 """Dual process: rates, Gillespie trajectories, duality, renewal tails."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -374,6 +375,119 @@ def test_dual_generator_rows_sum_zero():
     assert np.allclose(Q.sum(axis=1), 0.0, atol=1e-12)
     off = Q - np.diag(np.diag(Q))
     assert np.all(off >= 0)
+
+
+# the count chain of hierfw 0.5.3 before its array form: a list of states
+# indexed by a dict of byte strings, one loop over states, H state by state.
+# Kept as the oracle for the array form, which must match it bit for bit.
+
+
+def _reference_states(mp, n_max):
+    n_sites = mp.n_colonies * (mp.levels + 2)
+    shape = (mp.levels + 2, mp.n_colonies)
+    return [np.bincount(combo, minlength=n_sites).reshape(shape)
+            for n in range(1, n_max + 1)
+            for combo in itertools.combinations_with_replacement(
+                range(n_sites), n)]
+
+
+def _reference_generator(params, states):
+    d = params.g.d
+    q = F.lineage_generator(params)
+    np.fill_diagonal(q, 0.0)
+    targets = [np.flatnonzero(row) for row in q]
+    C = params.n_colonies
+    index = {s.tobytes(): i for i, s in enumerate(states)}
+    Q = np.zeros((len(states), len(states)))
+
+    def add(i, new, rate):
+        j = index.get(new.tobytes())
+        if j is not None:
+            Q[i, j] += rate
+
+    for i, s in enumerate(states):
+        flat = s.reshape(-1)
+        for a in np.flatnonzero(flat):
+            n = flat[a]
+            new = flat.copy()
+            new[a] -= 1
+            if a < C and n >= 2:
+                add(i, new, d * n * (n - 1) / 2.0)
+            for b in targets[a]:
+                new[b] += 1
+                add(i, new, n * q[a, b])
+                new[b] -= 1
+    np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
+    return Q
+
+
+def _reference_H(state, counts):
+    return float(np.prod(state.x ** counts[0]) *
+                 np.prod(state.y ** counts[1:]))
+
+
+def _reference_forward_H(x, y, counts):
+    vals = np.prod(x ** counts[0][None, :], axis=1)
+    vals *= np.prod(y ** counts[1:][None, :, :], axis=(1, 2))
+    return vals
+
+
+_WIDE_N3 = P.ModelParams(N=3, levels=1, c=(1.0, 0.5), e=(0.7, 0.3),
+                         K=(1.3, 2.0), g=fisher_wright(2.0))
+_RATE_TABLE = P.ModelParams(N=2, levels=1, c=(1.0, 0.5), e=(1.0, 0.5),
+                            K=(1.0, 2.0), g=fisher_wright(2.0))
+_DEEP = P.ModelParams(N=2, levels=3, c=(1.0, 0.5, 0.25, 0.125),
+                      e=(1.0, 0.5, 0.3, 0.2), K=(1.0, 2.0, 0.5, 1.5),
+                      g=fisher_wright(1.5))
+
+
+@pytest.mark.parametrize("mp,n,size", [
+    (two_colony(), 1, 4), (two_colony(), 2, 14), (two_colony(), 3, 34),
+    (two_colony(), 4, 69), (two_colony(d=0.0), 2, 14),
+    (_WIDE_N3, 1, 27), (_WIDE_N3, 2, 405), (_WIDE_N3, 3, 4059),
+    (_RATE_TABLE, 3, 454), (_large_chain_model()[0], 2, 1224),
+    (_DEEP, 2, 3320),
+])
+def test_count_chain_equals_reference_bitwise(mp, n, size):
+    # states in combinations-with-replacement order, and Q, start and H bit
+    # for bit those of the loop-and-dict chain, from a random start of n
+    # lineages and a random z
+    reference = _reference_states(mp, n)
+    states = D.enumerate_count_states(mp, n)
+    assert states.shape == (size, mp.levels + 2, mp.n_colonies)
+    assert np.array_equal(states, np.array(reference))
+    rng = stream(n, "chain-oracle", size)
+    z = F.SystemState(rng.random(mp.n_colonies),
+                      rng.random((mp.levels + 1, mp.n_colonies)))
+    top = [s for s in reference if s.sum() == n]
+    cfg0 = D.DualConfig(top[int(rng.integers(len(top)))])
+    Q, start, H = D._count_chain(mp, z, cfg0)
+    index = {s.tobytes(): i for i, s in enumerate(reference)}
+    assert start == index[cfg0.counts.tobytes()]
+    assert np.array_equal(Q, _reference_generator(mp, reference))
+    assert np.array_equal(H, [_reference_H(z, s) for s in reference])
+
+
+def test_generator_on_a_shuffled_subset_equals_reference_bitwise():
+    # jumps to states outside the set (here every coalescence down to two
+    # lineages) are dropped, whatever order the states come in
+    mp = _RATE_TABLE
+    states = D.enumerate_count_states(mp, 3)
+    subset = states[stream(3, "subset").permutation(len(states))]
+    subset = subset[subset.sum(axis=(1, 2)) != 2]
+    assert np.array_equal(D.dual_generator(mp, subset),
+                          _reference_generator(mp, list(subset)))
+
+
+def test_duality_function_forward_block_equals_reference_bitwise():
+    # the one H on a (5120, 16) block of forward replicas
+    mp, _ = _large_chain_model()
+    rng = stream(5, "forward-H")
+    x = rng.random((5120, 16))
+    y = rng.random((5120, 2, 16))
+    for counts in D.enumerate_count_states(mp, 2)[::97]:
+        assert np.array_equal(D.duality_function(F.SystemState(x, y), counts),
+                              _reference_forward_H(x, y, counts))
 
 
 def test_count_state_enumeration_size():

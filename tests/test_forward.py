@@ -86,6 +86,30 @@ def test_exchange_conserves_weighted_mean_exactly():
     assert after == pytest.approx(before, abs=1e-12)
 
 
+def test_exchange_keeps_y_in_unit_interval_without_a_clip():
+    # y + f (x - y) stays in [0, 1] for x, y in [0, 1] and f in [0, 1]: the
+    # step does not clip y.  Extreme values, and exchange rates giving f
+    # tiny, 1 - 2^-53 and exactly 1.0; K ~ 0 keeps the stability budget.
+    mp = small_params(N=2, levels=2, c=(1.0,) * 3, e=(1e-13, 7400.0, 4e4),
+                      K=(1e-9,) * 3)
+    ctx = F._StepContext(mp, 0.01)
+    assert 0.0 < ctx.exch_f[0] < 1e-14
+    assert ctx.exch_f[1] == 1.0 - 2.0 ** -53
+    assert ctx.exch_f[2] == 1.0
+    values = np.array([0.0, 2.0 ** -60, 0.5, 1.0 - 2.0 ** -53, 1.0])
+    r = np.arange(25)
+    x = np.repeat(values[r // 5, None], mp.n_colonies, axis=1)
+    y = np.repeat(values[(r[:, None] + np.arange(3)) % 5][:, :, None],
+                  mp.n_colonies, axis=2)
+    rng = stream(9, "y-range")
+    for _ in range(3):
+        expected = np.clip(y + (x[:, None, :] - y) * ctx.exch_f[:, None],
+                           0.0, 1.0)
+        F._advance(x, y, 1, ctx, rng)
+        assert np.array_equal(y, expected)
+        assert y.min() >= 0.0 and y.max() <= 1.0
+
+
 def _reference_advance(x, y, n_steps, ctx, rng):
     """The step kernel of hierfw 0.1: per-level broadcast block means and
     (M, C) exchange temporaries.  Kept as the reference for the fused one."""
