@@ -40,7 +40,7 @@ def run(name, family, depth, seed):
         lvl = n - 1
         rates = (float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl])
         line = (f"{n:5d}   {a:9.4f}  {s:.4f}                 "
-                f"{exact.exact_method(rates[0], rates[1], rates[3]):9s}")
+                f"{exact.exact_method(*rates):9s}")
         if n <= MC_LEVELS:
             mc = renorm.sample_F(inputs[lvl], *rates, grid, budget, seed)
             gap = np.abs(orbit.grids[lvl](grid) - mc.fn(grid))

@@ -378,7 +378,7 @@ def cmd_duality_check(job: Job) -> tuple:
     dual.count_sites(mp, cfg0.total)    # size the dual before z is drawn
     z = forward.initial_state(mp, mp.init, stream(job.seed, "duality-z"))
     report = dual.duality_estimate(mp, z, cfg0, run.get("t", 1.0),
-                                   run.get("replicas", 10_000), job.seed,
+                                   _budget(run).n_replicas, job.seed,
                                    dt=run.get("dt"))
     summary = report.as_dict()
     return summary, [
@@ -387,9 +387,25 @@ def cmd_duality_check(job: Job) -> tuple:
 
 
 def _budget(run: dict) -> renorm.EquilibriumBudget:
+    """The sampling budget; its n_replicas also sizes duality-check."""
     return renorm.EquilibriumBudget(
-        n_replicas=run.get("replicas", 96), burn=run.get("burn", 20.0),
-        sample=run.get("sample", 80.0), dt_factor=run.get("dt_factor", 0.01))
+        n_replicas=run.get("replicas", 10_000),
+        **{key: run[key] for key in ("burn", "sample", "dt_factor")
+           if key in run})
+
+
+def _depth(job: Job, name: str, default: int, low: int, shift: int) -> int:
+    """``run.depth`` (default ``default``), checked against the range
+    low <= depth <= model.levels + shift, which must not be empty."""
+    levels, depth = job.model.levels, job.run.get("depth", default)
+    if levels + shift < low:
+        raise ConfigError(f"{name} depth needs model.levels >= {low - shift}"
+                          f", found {levels}")
+    if not low <= depth <= levels + shift:
+        bound = "model.levels" + {1: " + 1", 0: "", -1: " - 1"}[shift]
+        raise ConfigError(f"{name} depth must satisfy {low} <= run.depth <= "
+                          f"{bound} = {levels + shift}, found {depth}")
+    return depth
 
 
 def _theta_grid(run: dict) -> np.ndarray:
@@ -399,10 +415,7 @@ def _theta_grid(run: dict) -> np.ndarray:
 
 def cmd_renorm_orbit(job: Job) -> tuple:
     mp, run, out = job.model, job.run, job.outdir
-    depth = run.get("depth", 5)
-    if not 1 <= depth <= mp.levels + 1:
-        raise ConfigError(f"orbit depth must satisfy 1 <= run.depth <= "
-                          f"model.levels + 1 = {mp.levels + 1}, found {depth}")
+    depth = _depth(job, "orbit", 5, 1, 1)
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, min(mp.levels + 1, depth + 1))
     _budget(run)      # the exact orbit samples nothing; the budget is checked
@@ -425,31 +438,26 @@ def cmd_interaction_chain(job: Job) -> tuple:
     mp, run = job.model, job.run
     if mp.init is None:
         raise ConfigError("interaction-chain needs an init block")
-    depth = run.get("depth", 4)
-    n_replicas = run.get("replicas", 10_000)
-    if n_replicas < 2:
+    budget = _budget(run)
+    if budget.n_replicas < 2:
         raise ConfigError("interaction-chain needs run.replicas >= 2 for "
                           "its variances")
-    if not 0 <= depth <= mp.levels - 1:
-        raise ConfigError(f"interaction-chain depth must satisfy 0 <= run.depth"
-                          f" <= model.levels - 1 = {mp.levels - 1}, found "
-                          f"{depth}")
+    depth = _depth(job, "interaction-chain", 4, 0, -1)
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, depth + 2)
-    budget = _budget(run)
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth + 1,
                                     _theta_grid(run))
     g_orbit = [mp.g] + orbit.grids
     chain = renorm.sample_interaction_chain(depth, mp, derived, g_orbit,
-                                            n_replicas, budget, job.seed)
+                                            budget, job.seed)
     means, variances = renorm.chain_moment_predictions(depth, derived, coeffs,
                                                        g_orbit[depth + 1])
-    rows = [(l, float(chain.x[l].mean()), float(chain.x[l].var(ddof=1)),
-             float(means[l]), float(variances[l]),
-             float(chain.x[l].std(ddof=1) / np.sqrt(n_replicas)))
-            for l in range(depth + 1)]
-    summary = {"depth": depth, "replicas": n_replicas,
-               "theta_start": chain.theta_start}
+    rows = [(l, float(x.mean()), float(x.var(ddof=1)), float(means[l]),
+             float(variances[l]),
+             float(x.std(ddof=1) / np.sqrt(budget.n_replicas)))
+            for l, x in enumerate(chain)]
+    summary = {"depth": depth, "replicas": budget.n_replicas,
+               "theta_start": float(derived.theta_seq[depth])}
     return summary, [
         write_csv(job.outdir / "chain.csv",
                   "level,mean_x,var_x,predicted_mean,predicted_var,se_mean",
@@ -458,10 +466,7 @@ def cmd_interaction_chain(job: Job) -> tuple:
 
 
 def cmd_profile(job: Job) -> tuple:
-    depth = job.run.get("depth", job.model.levels)
-    if not 2 <= depth <= job.model.levels:
-        raise ConfigError(f"profile depth must satisfy 2 <= run.depth <= "
-                          f"model.levels = {job.model.levels}, found {depth}")
+    depth = _depth(job, "profile", job.model.levels, 2, 0)
     coeffs = params.compute_A(job.model, params.derive(job.model), depth + 1)
     values = renorm.volatility_profile(depth, coeffs)
     summary = {"depth": depth,
@@ -493,7 +498,6 @@ def main(argv=None) -> int:
                         help="overrides the seed in the config")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config 'out' or ./out)")
-    parser.add_argument("--replicas", type=int, default=None)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     try:
@@ -507,8 +511,6 @@ def main(argv=None) -> int:
         mp = build_model(cfg)
         run = {key: _read(_RUN_TYPES[key], value, f"run.{key}")
                for key, value in cfg["run"].items() if value is not None}
-        if args.replicas is not None:
-            run["replicas"] = args.replicas
         job = Job(mp, run, _lineages(cfg["dual"], mp), seed, outdir)
         summary, files = _COMMANDS[args.command](job)
         write_manifest(outdir, raw, seed, files)

@@ -2,19 +2,20 @@
 
 (F g)(theta) = E^{Gamma_theta}[g(x)] is the mean of g under the stationary
 law of the level pair (see ``renorm``).  Where the exchange is not much
-faster than the slow relaxation (r = E c / e >= 1/32) the pair is replaced
-by an upwind Markov chain on a uniform (x, y) grid (Kushner & Dupuis,
+faster than the slow relaxation (r = E c / e >= 1/32) and EK is not near 0,
+the pair is replaced by an upwind Markov chain on a uniform (x, y) grid
+(Kushner & Dupuis,
 *Numerical Methods for Stochastic Control Problems in Continuous Time*),
 whose stationary law is solved by block elimination over x-slices on two
 grids, h and h/2, and combined by the Richardson step 2 F_{h/2} - F_h.  The
 drift centres of a theta grid are eliminated together, in groups within a
 byte budget: each x-slice is one stacked solve over the group's centres,
 and a centre's value is bitwise the same in any group.
-Where r < 1/32, x and y lock together and the weighted mean
-u = (x + EK y)/(1+EK) diffuses alone (averaging; Pavliotis & Stuart,
-*Multiscale Methods*); F g is then the mean of g under u's speed-measure
-density: a Beta law for Fisher-Wright g, else integrated by panels graded
-toward the zeros of g, where the density has a power-law singularity.
+Where r < 1/32 (x and y lock together) or EK is near 0 (y barely acts on
+x), the weighted mean u = (x + EK y)/(1+EK) diffuses alone (averaging;
+Pavliotis & Stuart, *Multiscale Methods*); F g is then the mean of g under
+u's speed-measure density: a Beta law for Fisher-Wright g, else integrated
+by panels graded toward g's zeros, where the density is power-law singular.
 
 ``renorm.evaluate_F`` imports this module on first use: the processes that
 never evaluate F exactly do not pay for compiling it.
@@ -33,8 +34,11 @@ from .diffusion import DiffusionFn
 # exchange rate.  The averaged law's relative error in the Fisher-Wright rate
 # is about r EK / (1 + EK + r) < r, while the chain's upwind numerical
 # diffusion along y, of size h e |x - y|, grows against the true noise E^2 g
-# as r falls; the finer pair of grids holds it down for r < 1.
+# as r falls; the finer pair of grids holds it down for r < 1.  The averaged
+# law also serves where its error is below the chain's own, ~1e-3: so a
+# level without seed-bank (K -> 0), where that law is exact, never runs it.
 _AVERAGED_BELOW = 1.0 / 32.0
+_AVERAGED_ERROR_BELOW = 1e-3
 _FINE_BELOW = 1.0
 _CHAIN_GRIDS = {"mca-21/41": (21, 41), "mca-41/81": (41, 81)}
 # The chain's drift centres are eliminated in groups whose stacked
@@ -44,11 +48,12 @@ _CHAIN_GRIDS = {"mca-21/41": (21, 41), "mca-41/81": (41, 81)}
 _STACK_BYTES = 128 * 1024
 
 
-def exact_method(E: float, c: float, e: float) -> str:
-    """The deterministic evaluator serving rates (E, c, e): the Markov chain
-    on 21/41 or 41/81 points per axis, or the averaged 1-D law."""
+def exact_method(E: float, c: float, K: float, e: float) -> str:
+    """The deterministic evaluator serving rates (E, c, K, e): the Markov
+    chain on 21/41 or 41/81 points per axis, or the averaged 1-D law."""
     r = E * c / e
-    if r < _AVERAGED_BELOW:
+    if (r < _AVERAGED_BELOW
+            or r * E * K / (1.0 + E * K + r) < _AVERAGED_ERROR_BELOW):
         return "averaged"
     return "mca-21/41" if r >= _FINE_BELOW else "mca-41/81"
 
@@ -56,7 +61,7 @@ def exact_method(E: float, c: float, e: float) -> str:
 def exact_F(g: DiffusionFn, E: float, c: float, K: float, e: float,
             thetas: np.ndarray) -> np.ndarray:
     """(F g)(theta) at interior drift centres, without sampling."""
-    method = exact_method(E, c, e)
+    method = exact_method(E, c, K, e)
     if method == "averaged":
         lam = 2.0 * c * (1.0 + E * K) / E
         return np.array([_averaged_mean_g(g, lam, t) for t in thetas])

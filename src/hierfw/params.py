@@ -165,6 +165,8 @@ class ModelParams:
     family: Optional[Family] = None
 
     def __post_init__(self):
+        if self.levels < 0:
+            raise ValueError(f"levels must be >= 0, found {self.levels}")
         n = self.levels + 1
         if not (len(self.c) == len(self.e) == len(self.K) == n):
             raise ValueError("c, e, K must each hold levels+1 entries")
@@ -182,6 +184,10 @@ class ModelParams:
     @classmethod
     def from_family(cls, N: int, levels: int, family: Family, g: DiffusionFn,
                     init: Optional[InitSpec] = None) -> "ModelParams":
+        if isinstance(family, ExponentialFamily) and not (
+                family.c < N and family.K * family.e < N):
+            raise ValueError(f"the exponential family needs c < N = {N} and "
+                             f"K e < N, found {family}")
         c, e, K = family.sequences(levels)
         return cls(N, levels, tuple(c), tuple(e), tuple(K), g, init, family)
 
@@ -302,12 +308,12 @@ def classify(params: ModelParams) -> RegimeReport:
     rho_inf = derive(params).rho_infinite
     if isinstance(fam, ExponentialFamily):
         kind, N, K, e, c = "exponential", params.N, fam.K, fam.e, fam.c
-        gamma = math.log(N / (K * e)) / math.log(N / e)
         delta = math.log(c) / math.log(N / c)
         if not rho_inf:
             gamma, phi_hat = None, None
             clusters, criterion = c <= 1, "finite-rho migration sum"
         else:
+            gamma = math.log(N / (K * e)) / math.log(N / e)
             phi_hat = "const" if K > 1 else "log"
             clusters = K * c <= 1 <= K
             criterion = "pure-exponential Kc <= 1 <= K"

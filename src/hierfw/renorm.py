@@ -20,15 +20,15 @@ cost the same as level 0, and the boundary-singular equilibria of the
 clustering regime keep their correct boundary behaviour.
 
 Sampled equilibrium moments are long-run time averages over independent
-replicas (with a split-half stationarity check); an endpoint mode returning
-one independent draw per replica drives the interaction chain.  Stepped with
-theta = E[x(t)] at E = 1, the integrator runs the mean-field colony's transient.
+replicas (with a split-half stationarity check); the interaction chain keeps
+each replica's state after its burn-in.  Stepped with theta = E[x(t)] at
+E = 1, the integrator runs the mean-field colony's transient.
 
 The map F itself is computed without sampling (``evaluate_F``, see
-``hierfw.exact``): where r = E c / e >= 1/32, by a Richardson-extrapolated
-upwind Markov chain on an (x, y) grid; below, by the averaged
-one-dimensional law of the weighted mean u, whose speed-measure density is
-explicit.  The orbit ``iterate_F_scaled`` composes it.  ``sample_F``
+``hierfw.exact``): where r = E c / e >= 1/32 and EK is not near 0, by a
+Richardson-extrapolated upwind Markov chain on an (x, y) grid; elsewhere, by
+the averaged one-dimensional law of the weighted mean u, whose speed-measure
+density is explicit.  The orbit ``iterate_F_scaled`` composes it.  ``sample_F``
 samples the equilibria as above and stays the independent per-level
 cross-check.  Either way F g is stored by its node values as g = x(1-x) h
 (``DiffusionFn.from_g``), so the Fisher-Wright orbit stays in its family on
@@ -359,34 +359,20 @@ def iterate_F_scaled(g: DiffusionFn, params: ModelParams,
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ChainSample:
-    """Replica ensemble of the interaction chain M^k_{-l}.
-
-    x[l] holds the active values drawn at the step from -(l+1) to -l.
-    """
-
-    theta_start: float
-    x: np.ndarray      # (k+1, R), level index l = row
-
-
 def sample_interaction_chain(k: int, params: ModelParams,
                              derived: DerivedParams, g_orbit: Sequence[DiffusionFn],
-                             n_replicas: int, budget: EquilibriumBudget,
-                             seed: int) -> ChainSample:
-    """Descend the interaction chain from level k by equilibrium sampling.
+                             budget: EquilibriumBudget, seed: int) -> np.ndarray:
+    """Descend the interaction chain M^k_{-l} from vartheta_k with
+    ``budget.n_replicas`` replicas; returns their (k + 1, R) active values.
 
-    The step -(l+1) -> -l draws (x_l, y_{l,l}) from the level-l equilibrium
-    centred at the current active value (endpoint mode: one independent
-    trajectory per replica); only the active value x_l is kept, and it
-    centres the next level down.
+    Row l is the draw at the step from -(l+1) to -l: the level-l pair, centred
+    at the current active value, runs ``budget.burn`` slow-relaxation times
+    from there, and each replica's x_l centres the next level down.
     """
     if len(g_orbit) < k + 1:
         raise ValueError("g_orbit must provide F^(l) g for l = 0..k")
-    theta0 = float(derived.theta_seq[k])
-    R = n_replicas
-    centre = np.full(R, theta0)
-    xs = np.empty((k + 1, R))
+    centre = np.full(budget.n_replicas, float(derived.theta_seq[k]))
+    xs = np.empty((k + 1, budget.n_replicas))
     for l in range(k, -1, -1):
         integ = _PairIntegrator(float(derived.E[l]), params.c[l], params.K[l],
                                 params.e[l], g_orbit[l], budget.dt_factor)
@@ -395,7 +381,7 @@ def sample_interaction_chain(k: int, params: ModelParams,
         y = centre.copy()
         integ.advance(x, y, centre, integ.steps_for(budget.burn), rng)
         xs[l] = centre = x
-    return ChainSample(theta_start=theta0, x=xs)
+    return xs
 
 
 def chain_moment_predictions(k: int, derived: DerivedParams,

@@ -326,13 +326,13 @@ def test_criterion_09_interaction_chain(clustering_orbit):
     mp, der, co, orbit = clustering_orbit
     g_orbit = [QUARTIC] + orbit.grids
     n_rep = 20_000
-    budget = renorm.EquilibriumBudget(burn=25)
-    chain = renorm.sample_interaction_chain(4, mp, der, g_orbit, n_rep,
-                                            budget, seed=900)
+    budget = renorm.EquilibriumBudget(n_replicas=n_rep, burn=25)
+    chain = renorm.sample_interaction_chain(4, mp, der, g_orbit, budget,
+                                            seed=900)
     means, variances = renorm.chain_moment_predictions(4, der, co, g_orbit[5])
     ok = True
     for l in range(5):
-        x = chain.x[l]
+        x = chain[l]
         se_mean = x.std(ddof=1) / math.sqrt(n_rep)
         ok &= abs(x.mean() - means[l]) < 3 * se_mean
         v = x.var(ddof=1)

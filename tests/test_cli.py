@@ -7,7 +7,6 @@ import json
 import math
 import os
 import platform
-import re
 import string
 import subprocess
 import sys
@@ -100,6 +99,17 @@ def test_classify_clustering_family(tmp_path):
     assert report["gamma"] == pytest.approx(math.log(4) / math.log(8))
     assert (out / "manifest.json").exists()
     assert (out / "coefficients.csv").exists()
+
+
+def test_classify_finite_seedbank_at_e_equal_to_N(tmp_path):
+    # K < 1 is a finite seed-bank, which reports no gamma: its
+    # log(N/e) = 0 must not be computed
+    text = CLUSTERING_CFG.replace("K: 2.0\n    e: 1.0", "K: 0.5\n    e: 8.0")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert run(["classify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    report = json.loads((out / "regime_report.json").read_text())
+    assert report["rho_infinite"] is False and report["gamma"] is None
 
 
 def test_classify_polynomial_finite_rho(tmp_path):
@@ -304,8 +314,7 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("renorm-orbit", ("dt: 0.005", "depth: -1"), "orbit depth"),
     ("renorm-orbit", ("dt: 0.005", "depth: 0"), "orbit depth"),
     ("interaction-chain", ("dt: 0.005", "depth: -1"),
-     "interaction-chain depth must satisfy 0 <= run.depth <= model.levels - 1 "
-     "= -1, found -1"),
+     "interaction-chain depth needs model.levels >= 1, found 0"),
     ("classify", ("\n  d: 1.0\n", "\n  d: 0.05\n"), "model.d = 0.05"),
     ("classify", ("kind: fisher_wright\n    d: 1.0",
                   "kind: grid\n    nodes: [0.0, 0.5, 1.0]\n    values: [0.0, 0.1, 0.0]"),
@@ -346,20 +355,20 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
         "replicas: 8", "replicas: 1")), "run.replicas >= 2"),
     ("renorm-orbit", (TWO_COLONY_CFG, CHEAP_RENORM_CFG.replace(
         "grid_size: 5", "grid_size: 2")), "theta grid"),
-    # a depth beyond the stored coefficients is named by its config key
+    # a model too shallow for any depth is named by model.levels, a depth
+    # beyond the stored coefficients by its config key
     ("interaction-chain", ("dt: 0.005", "depth: 1"),
-     "interaction-chain depth must satisfy 0 <= run.depth <= model.levels - 1 "
-     "= -1, found 1"),
+     "interaction-chain depth needs model.levels >= 1, found 0"),
     ("profile", ("dt: 0.005", "depth: 1"),
-     "profile depth must satisfy 2 <= run.depth <= model.levels = 0, found 1"),
+     "profile depth needs model.levels >= 2, found 0"),
     ("renorm-orbit", ("dt: 0.005", "depth: 2"),
      "orbit depth must satisfy 1 <= run.depth <= model.levels + 1 = 1, found 2"),
     ("renorm-orbit", ("dt: 0.005", "depth: 0"),
      "orbit depth must satisfy 1 <= run.depth <= model.levels + 1 = 1, found 0"),
-    # the default depth, model.levels, is too shallow for a one-level model
+    # a one-level model has no profile depth
     ("profile", (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
                  .replace("[1.0]", "[1.0, 1.0]")),
-     "profile depth must satisfy 2 <= run.depth <= model.levels = 1, found 1"),
+     "profile depth needs model.levels >= 2, found 1"),
     # the default depth, 4, is too deep for a one-level model
     ("interaction-chain", (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
                            .replace("[1.0]", "[1.0, 1.0]")),
@@ -371,6 +380,19 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
      "record time 1e+307 / dt = 0.005 overflows"),
     ("duality-check", ("t: 1.0\n  replicas: 4000", "t: 1e308\n  replicas: 10"),
      "record time 1e+308 / dt = 0.005 overflows"),
+    # no colours: the model is refused before any subcommand indexes them
+    ("simulate-forward", ("levels: 0\n  c: [1.0]\n  e: [1.0]\n  K: [1.0]",
+                          "levels: -1\n  c: []\n  e: []\n  K: []"),
+     "levels must be >= 0, found -1"),
+    ("classify", (TWO_COLONY_CFG, CLUSTERING_CFG.replace("levels: 6",
+                                                         "levels: -1")),
+     "levels must be >= 0, found -1"),
+    # the exponential family's growth conditions c < N and K e < N
+    ("classify", (TWO_COLONY_CFG, CLUSTERING_CFG.replace("c: 0.25", "c: 8")),
+     "the exponential family needs c < N = 8 and K e < N"),
+    ("classify", (TWO_COLONY_CFG, CLUSTERING_CFG.replace(
+        "K: 2.0\n    e: 1.0", "K: 1.0\n    e: 8.0")),
+     "the exponential family needs c < N = 8 and K e < N"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -410,10 +432,14 @@ def test_exponent_strings_read_as_numbers(tmp_path):
 
 
 def test_version_matches_pyproject():
-    # a regex, not tomllib: requires-python admits 3.10, which lacks tomllib
-    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
-    version = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
-    assert hierfw.__version__ == version
+    # pyproject.toml states no version of its own: setuptools reads
+    # hierfw.__version__, as a pip install does
+    from setuptools.config.pyprojecttoml import read_configuration
+    with warnings.catch_warnings():  # older setuptools: [tool.setuptools] beta
+        warnings.simplefilter("ignore")
+        config = read_configuration(
+            Path(__file__).parents[1] / "pyproject.toml", expand=True)
+    assert config["project"]["version"] == hierfw.__version__
 
 
 # runs each (command, config, out) triple of argv in one process, then prints
@@ -487,15 +513,6 @@ def test_memory_error_exits_one(tmp_path, capsys, monkeypatch, error, line):
     assert run(["simulate-forward", "--config", cfg, "--out", out,
                 "--quiet"]) == 1
     assert capsys.readouterr().err == line
-    assert not (out / "manifest.json").exists()
-
-
-def test_replicas_flag_zero_is_not_replaced(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TWO_COLONY_CFG)
-    out = tmp_path / "o"
-    assert run(["duality-check", "--config", cfg, "--out", out, "--quiet",
-                "--replicas", "0"]) == 1
-    assert "n_replicas" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

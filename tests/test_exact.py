@@ -68,7 +68,7 @@ def one_centre_mean_g(g, E, c, K, e, theta, n) -> float:
 
 
 def one_centre_F(g, E, c, K, e, thetas) -> np.ndarray:
-    coarse, fine = X._CHAIN_GRIDS[X.exact_method(E, c, e)]
+    coarse, fine = X._CHAIN_GRIDS[X.exact_method(E, c, K, e)]
     return np.array([2.0 * one_centre_mean_g(g, E, c, K, e, t, fine)
                      - one_centre_mean_g(g, E, c, K, e, t, coarse)
                      for t in thetas])
@@ -79,7 +79,7 @@ def one_centre_F(g, E, c, K, e, thetas) -> np.ndarray:
 def test_stacked_elimination_equals_one_centre_elimination(monkeypatch, g,
                                                            method):
     rates = RATES[method]
-    assert X.exact_method(rates[0], rates[1], rates[3]) == method
+    assert X.exact_method(*rates) == method
     expect = one_centre_F(g, *rates, THETAS)
     # one centre per group; groups of 3, 3 and 1 at n = 41; the default
     for budget in (1, 3 * 8 * 41 * 43, X._STACK_BYTES):

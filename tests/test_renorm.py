@@ -266,10 +266,47 @@ def test_exact_F_matches_fw_recursion(grid):
     interior = grid[1:-1]
     for lvl, method in enumerate(CLUSTERING_METHODS):
         E, c, K, e = float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl]
-        assert X.exact_method(E, c, e) == method
+        assert X.exact_method(E, c, K, e) == method
         values = X.exact_F(fisher_wright(d_seq[lvl]), E, c, K, e, interior)
         rel = np.abs(values / (d_seq[lvl + 1] * g_fw(interior)) - 1.0)
         assert rel.max() <= 5e-3, (lvl, method, rel.max())
+
+
+# the three seed-bank classes of the dichotomy, at N = 4
+SEEDBANK_CLASSES = {
+    "exp-power": P.ExponentialFamily(K=2.0, e=1.0, c=0.25),
+    "exp-linear": P.ExponentialFamily(K=2.0, e=1.0, c=0.5),
+    "poly-power": P.PolynomialFamily(alpha=0.5, beta=1.0, phi=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDBANK_CLASSES))
+def test_no_seedbank_twin_orbit_is_exact(name):
+    # the twin keeps the class's c_k with K = e = 1e-12; from g_FW the orbit
+    # is (1 / (1 + A_n)) g_FW, so sup_distance (1 + A_n) = 1/4 at every n
+    c = SEEDBANK_CLASSES[name].sequences(16)[0]
+    tiny = (1e-12,) * 17
+    mp = P.ModelParams(N=4, levels=16, c=tuple(c), e=tiny, K=tiny, g=FW)
+    der = P.derive(mp)
+    co = P.compute_A(mp, der, 17)
+    orbit = R.iterate_F_scaled(FW, mp, der, co, 16, np.linspace(0, 1, 21))
+    scaled = orbit.sup_distance * (1.0 + orbit.A)
+    assert np.abs(scaled - 0.25).max() < 1e-3, scaled
+
+
+@pytest.mark.parametrize("name", sorted(SEEDBANK_CLASSES))
+def test_seedbank_levels_keep_their_evaluator(name):
+    # the error rule moves only levels whose seed-bank is negligible: every
+    # level of the three classes keeps the evaluator that r alone picks
+    mp = P.ModelParams.from_family(N=4, levels=31,
+                                   family=SEEDBANK_CLASSES[name], g=FW)
+    der = P.derive(mp)
+    for lvl in range(32):
+        E, c, K, e = float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl]
+        r = E * c / e
+        by_r = ("averaged" if r < 1 / 32 else
+                "mca-21/41" if r >= 1 else "mca-41/81")
+        assert X.exact_method(E, c, K, e) == by_r, (lvl, r)
 
 
 def _averaged_by_trapezoid(nodes, h, lam, theta, n=200_001):
@@ -468,14 +505,15 @@ def test_chain_moments_small_depth():
     orbit = R.iterate_F_scaled(QUARTIC, mp, der, co, 3, CHEBYSHEV43)
     g_orbit = [QUARTIC] + orbit.grids
     n_rep = 8000
-    chain = R.sample_interaction_chain(2, mp, der, g_orbit, n_rep,
-                                       R.EquilibriumBudget(burn=25), seed=14)
+    chain = R.sample_interaction_chain(
+        2, mp, der, g_orbit, R.EquilibriumBudget(n_replicas=n_rep, burn=25),
+        seed=14)
     means, variances = R.chain_moment_predictions(2, der, co, g_orbit[3])
     for l in range(3):
-        se_m = chain.x[l].std(ddof=1) / math.sqrt(n_rep)
-        assert abs(chain.x[l].mean() - means[l]) < 3 * se_m
-        v = chain.x[l].var(ddof=1)
-        se_v = np.var((chain.x[l] - chain.x[l].mean()) ** 2) ** 0.5 / math.sqrt(n_rep)
+        se_m = chain[l].std(ddof=1) / math.sqrt(n_rep)
+        assert abs(chain[l].mean() - means[l]) < 3 * se_m
+        v = chain[l].var(ddof=1)
+        se_v = np.var((chain[l] - chain[l].mean()) ** 2) ** 0.5 / math.sqrt(n_rep)
         assert abs(v - variances[l]) < 3 * se_v + 0.1 * variances[l]
 
 
@@ -483,7 +521,7 @@ def test_chain_requires_full_orbit():
     mp = clustering_params()
     der = P.derive(mp)
     with pytest.raises(ValueError):
-        R.sample_interaction_chain(3, mp, der, [FW, FW], 100, SMALL, seed=0)
+        R.sample_interaction_chain(3, mp, der, [FW, FW], SMALL, seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -543,10 +581,11 @@ def test_chain_concentrates_on_boundary_masses():
     orbit = R.iterate_F_scaled(QUARTIC, mp, der, co, 7, np.linspace(0, 1, 17))
     g_orbit = [QUARTIC] + orbit.grids
     n_rep = 8000
-    chain = R.sample_interaction_chain(6, mp, der, g_orbit, n_rep,
-                                       R.EquilibriumBudget(burn=20), seed=42)
+    chain = R.sample_interaction_chain(
+        6, mp, der, g_orbit, R.EquilibriumBudget(n_replicas=n_rep, burn=20),
+        seed=42)
     theta = 0.5
-    x0 = chain.x[0]
+    x0 = chain[0]
     hi = float(np.mean(x0 > 0.95))
     lo = float(np.mean(x0 < 0.05))
     se = math.sqrt(theta * (1 - theta) / n_rep)
