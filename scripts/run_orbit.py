@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hierfw import exact, params, renorm
+from hierfw import cli, exact, params, renorm
 from hierfw.diffusion import fisher_wright, grid_from_callable
 
 OUT = pathlib.Path("out/orbit")
@@ -48,8 +48,8 @@ def run(name, family, depth, seed):
             line += f"  {gap[j]:.2e}         {mc.se[j]:.2e}"
         print(line)
     OUT.mkdir(parents=True, exist_ok=True)
-    rows = "\n".join(f"{n},{a!r},{s!r}" for n, a, s in orbit.csv_rows())
-    (OUT / f"{name}.csv").write_text("level,A_n,sup_distance\n" + rows + "\n")
+    cli.write_csv(OUT / f"{name}.csv", "level,A_n,sup_distance",
+                  orbit.csv_rows())
     return orbit
 
 

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -207,17 +207,25 @@ def build_model(cfg: dict) -> params.ModelParams:
 
 def _lineages(block: dict, mp: params.ModelParams) -> dict:
     """Dual-block lineage counts keyed by (row, colony): row 0 holds the
-    active lineages, row m+1 the m-dormant ones (keys "m:colony")."""
+    active lineages, row m+1 the m-dormant ones (keys "m:colony").  Each
+    place may be named by one key only."""
     actives = _mapping(block.get("actives"), "dual.actives")
     dormants = _mapping(block.get("dormants"), "dual.dormants")
+    counts = {}
+
+    def put(row, site, n):
+        if (row, site) in counts:      # e.g. actives 0 and "0"
+            raise ValueError(f"two keys name row {row}, colony {site}")
+        counts[row, site] = _integer(n)
+
     try:
-        counts = {(0, _integer(site)): _integer(n)
-                  for site, n in actives.items()}
+        for site, n in actives.items():
+            put(0, _integer(site), n)
         for key, n in dormants.items():
             colour, site = (_integer(v) for v in str(key).split(":"))
             if not 0 <= colour <= mp.levels:
                 raise ValueError(f"colour {colour} outside 0..{mp.levels}")
-            counts[colour + 1, site] = _integer(n)
+            put(colour + 1, site, n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid dual block: {exc}") from exc
     for _, site in counts:
@@ -304,7 +312,7 @@ def write_manifest(outdir: Path, raw_config: bytes, seed: int, files):
 
 def cmd_classify(job: Job) -> tuple:
     mp, out = job.model, job.outdir
-    report = params.classify(mp).as_dict()
+    report = asdict(params.classify(mp))
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, mp.levels + 1)
     rows = params.coefficient_rows(coeffs, range(mp.levels + 2))

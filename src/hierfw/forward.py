@@ -82,25 +82,22 @@ def initial_arrays(params: ModelParams, init: InitSpec, rng,
     """Draw ``width`` i.i.d. replicas of the initial configuration."""
     C = params.n_colonies
     M = params.levels + 1
-    th_y = init.theta_y_full(M)
-    if init.law == "deterministic":
-        x = np.full((width, C), init.theta_x)
-        y = np.empty((width, M, C))
-        y[:] = th_y[:, None]
-    elif init.law == "beta":
-        conc = init.concentration
-        x = rng.beta(max(init.theta_x * conc, 1e-12),
-                     max((1 - init.theta_x) * conc, 1e-12), size=(width, C))
-        y = np.empty((width, M, C))
-        for m in range(M):
-            y[:, m, :] = rng.beta(max(th_y[m] * conc, 1e-12),
-                                  max((1 - th_y[m]) * conc, 1e-12),
-                                  size=(width, C))
-    else:  # two-point
-        x = (rng.random((width, C)) < init.theta_x).astype(float)
-        y = np.empty((width, M, C))
-        for m in range(M):
-            y[:, m, :] = (rng.random((width, C)) < th_y[m]).astype(float)
+
+    def draw(theta):
+        if init.law == "deterministic":
+            return theta
+        if init.law == "beta":
+            conc = init.concentration
+            return rng.beta(max(theta * conc, 1e-12),
+                            max((1 - theta) * conc, 1e-12), size=(width, C))
+        return (rng.random((width, C)) < theta).astype(float)  # two-point
+
+    # x, then each colour of y, drawn in that order and filled in place, so
+    # a deterministic law allocates no (width, C) temporary
+    x, y = np.empty((width, C)), np.empty((width, M, C))
+    x[:] = draw(init.theta_x)
+    for m, theta in enumerate(init.theta_y_full(M)):
+        y[:, m, :] = draw(theta)
     return x, y
 
 
@@ -115,9 +112,12 @@ def initial_state(params: ModelParams, init: InitSpec, rng) -> SystemState:
 
 
 class _StepContext:
-    """Precomputed rates and reshape geometry for the vectorised step."""
+    """Precomputed rates and reshape geometry for the vectorised step; dt
+    defaults to ``default_dt(params)``."""
 
-    def __init__(self, params: ModelParams, dt: float):
+    def __init__(self, params: ModelParams, dt: Optional[float] = None):
+        if dt is None:
+            dt = default_dt(params)
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.dt = dt
@@ -326,13 +326,12 @@ class TrajectoryRecord:
 
 
 def simulate(params: ModelParams, init: InitSpec, horizon: float,
-             plan: RecordPlan, seed: int, replica: int = 0,
+             plan: RecordPlan, seed: int,
              dt: Optional[float] = None) -> TrajectoryRecord:
-    """Single-replica trajectory, deterministic given (seed, replica)."""
-    if dt is None:
-        dt = default_dt(params)
+    """Single-replica trajectory, deterministic given seed."""
     ctx = _StepContext(params, dt)
-    rng = rngmod.stream(seed, "forward", replica)
+    dt = ctx.dt
+    rng = rngmod.stream(seed, "forward", 0)
     x, y = initial_arrays(params, init, rng, width=1)
     K = np.asarray(params.K, dtype=float)
     steps_at = _record_steps(plan.times, dt)
@@ -399,12 +398,10 @@ def ensemble_reduce(params: ModelParams, init, times: Sequence[float],
     SystemState (every replica starts from that exact configuration).
     Returns (means, ses, clip_fraction) with means and ses shaped (T, Q).
     """
-    if dt is None:
-        dt = default_dt(params)
     if n_replicas < 1:
         raise ValueError("n_replicas must be at least 1")
     ctx = _StepContext(params, dt)
-    steps_at = _record_steps(times, dt)
+    steps_at = _record_steps(times, ctx.dt)
     C, M, CHUNK = params.n_colonies, params.levels + 1, rngmod.CHUNK
     per_group = max(1, _GROUP_BYTES // (CHUNK * C * (M + 1) * 8))
     chunks = list(rngmod.replica_chunks(n_replicas))

@@ -287,11 +287,6 @@ class RegimeReport:
     clustering: Optional[str] = None
     criterion_used: Optional[str] = None
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "family_kind", "rho_infinite", "gamma", "phi_hat_class",
-            "delta", "degree", "clustering", "criterion_used")}
-
 
 def classify(params: ModelParams) -> RegimeReport:
     """Tail exponent, slowly-varying class, random-walk degree and verdict.
@@ -551,10 +546,11 @@ def hazard_diagnostic(params: ModelParams) -> str:
         params, math.log(1e14 if exp_kind else 1e200))
 
     def log_f(u):
+        """log of the integrand in du, u = log t (the factor t = e^u last)"""
         u = np.asarray(u, dtype=float)
         log_a = hiergeo.log_return_probability(u, exp_)
         return (-(1.0 / gamma) * _log_phi_hat(u, report, fam)
-                - ((1.0 - gamma) / gamma) * u + log_a)
+                - ((1.0 - gamma) / gamma) * u + log_a + u)
 
     if exp_kind:
         # a_t oscillates log-periodically with period log(N/c) around its
@@ -565,30 +561,24 @@ def hazard_diagnostic(params: ModelParams) -> str:
         if n_win < 4:
             raise FamilyError("horizon too short for the window fit")
         edges = math.log(10.0) + period * np.arange(n_win + 1)
-        W = _window_integrals(lambda u: log_f(u) + u, edges)
-        tail = slice(max(0, n_win - 5), n_win)
-        slope, curv = _fit_slope(edges[1:][tail], np.log(W[tail]))
-        if slope >= -_SLOPE_TOL:
-            return DIVERGENT
-        if abs(curv) > 0.35:
-            return INCONCLUSIVE
-        return CONVERGENT
-
-    # polynomial family: windows double in u = log t
-    u_max = log_tmax
-    n_win = int(math.log2(u_max / 2.0))
-    edges = 2.0 * 2.0 ** np.arange(n_win + 1)
-    # integrand in du is exp(log_f(u) + u)
-    W = _window_integrals(lambda u: log_f(u) + u, edges)
+        abscissa = edges[1:]
+    else:
+        # polynomial family: windows double in u = log t, fitted in log u
+        n_win = int(math.log2(log_tmax / 2.0))
+        edges = 2.0 * 2.0 ** np.arange(n_win + 1)
+        abscissa = np.log(edges[1:])
+    W = _window_integrals(log_f, edges)
     tail = slice(max(0, n_win - 5), n_win)
-    slope, _ = _fit_slope(np.log(edges[1:][tail]), np.log(W[tail]))
+    slope, curv = _fit_slope(abscissa[tail], np.log(W[tail]))
     if slope >= -_SLOPE_TOL:
         return DIVERGENT
+    if exp_kind:
+        return INCONCLUSIVE if abs(curv) > 0.35 else CONVERGENT
     # negative u-slope: either genuine convergence (u^{q+1}, q < -1) or the
     # boundary 1/(u log u); one more log-substitution separates them, as the
     # boundary gives near-constant windows in v = log u.
-    v_edges = np.geomspace(1.5, math.log(u_max), 5)
-    Wv = _window_integrals(lambda u: log_f(u) + u, np.exp(v_edges))
+    v_edges = np.geomspace(1.5, math.log(log_tmax), 5)
+    Wv = _window_integrals(log_f, np.exp(v_edges))
     ratio = Wv[-1] / Wv[0]
     if ratio > 0.75:
         return DIVERGENT

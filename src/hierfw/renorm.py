@@ -61,8 +61,14 @@ class EquilibriumBudget:
     def __post_init__(self):
         if self.n_replicas < 1:
             raise ValueError("n_replicas must be at least 1")
+        if not self.burn >= 0:
+            raise ValueError(f"burn must be non-negative, found {self.burn}")
+        if not self.sample > 0:
+            raise ValueError(f"sample must be positive, found {self.sample}")
         if not self.dt_factor > 0:
             raise ValueError("dt_factor must be positive")
+        if self.stride < 1:
+            raise ValueError(f"stride must be at least 1, found {self.stride}")
 
 
 @dataclass
@@ -211,23 +217,18 @@ def _equilibria(E, c, K, e, g, thetas: np.ndarray, budget: EquilibriumBudget,
         acc_half[h] += x * x
         half_counts[h] += 1
     means = acc / n_rec                      # per-replica time averages
+    grand = means.mean(axis=2)
+    se = means.std(axis=2, ddof=1) / math.sqrt(R)
+    diff = (acc_half[1] / max(half_counts[1], 1)
+            - acc_half[0] / max(half_counts[0], 1))
+    gap = np.abs(diff.mean(axis=1))
+    gap_se = diff.std(axis=1, ddof=1) / math.sqrt(R)
     keys = ("ex", "ey", "exx", "eyy", "exy", "fg")
-    out = []
-    for i in range(len(thetas)):
-        grand = means[:, i, :].mean(axis=1)
-        se = means[:, i, :].std(axis=1, ddof=1) / math.sqrt(R)
-        h0 = acc_half[0, i] / max(half_counts[0], 1)
-        h1 = acc_half[1, i] / max(half_counts[1], 1)
-        diff = h1 - h0
-        gap = abs(float(diff.mean()))
-        gap_se = float(diff.std(ddof=1)) / math.sqrt(R)
-        out.append(EquilibriumEstimate(
-            **dict(zip(keys, map(float, grand))),
-            se={k: float(v) for k, v in zip(keys, se)},
-            flagged=bool(gap > 4.0 * gap_se + 1e-12),
-            total_steps=(n_burn + n_sample) * R,
-        ))
-    return out
+    return [EquilibriumEstimate(
+        **dict(zip(keys, map(float, grand[:, i]))),
+        se={k: float(v) for k, v in zip(keys, se[:, i])},
+        flagged=bool(gap[i] > 4.0 * gap_se[i] + 1e-12),
+        total_steps=(n_burn + n_sample) * R) for i in range(len(thetas))]
 
 
 # ----------------------------------------------------------------------

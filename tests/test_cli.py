@@ -393,6 +393,19 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("classify", (TWO_COLONY_CFG, CLUSTERING_CFG.replace(
         "K: 2.0\n    e: 1.0", "K: 1.0\n    e: 8.0")),
      "the exponential family needs c < N = 8 and K e < N"),
+    # a dual-block place is named once; a second key would overwrite it
+    ("simulate-dual", ("actives: {0: 2}", "actives: {0: 1, '0': 1}"),
+     "invalid dual block: two keys name row 0, colony 0"),
+    ("simulate-dual", ("actives: {0: 2}",
+                       "actives: {0: 2}\n  dormants: {'0:1': 1, '0:01': 2}"),
+     "invalid dual block: two keys name row 1, colony 1"),
+    ("simulate-dual", ("actives: {0: 2}", "actives: {0: -1}"),
+     "lineage counts must be non-negative"),
+    # a sampling budget runs forward in time
+    ("interaction-chain", (TWO_COLONY_CFG, CHEAP_RENORM_CFG.replace(
+        "burn: 1.0", "burn: -5.0")), "burn must be non-negative, found -5.0"),
+    ("interaction-chain", (TWO_COLONY_CFG, CHEAP_RENORM_CFG.replace(
+        "sample: 2.0", "sample: -3")), "sample must be positive, found -3.0"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))

@@ -180,6 +180,27 @@ def test_single_lineage_marginal_matches_semigroup():
     assert tv < 0.02
 
 
+@pytest.mark.parametrize("placement", [{0: 2}, {0: 2, 1: 1}])
+def test_gillespie_law_matches_count_chain(placement):
+    # law of the terminal count state, with coalescence and several moving
+    # lineages, vs (exp(Qt) 1_s)[start] on the count chain, within 4 SE
+    mp = two_colony()
+    cfg = D.DualConfig.actives(mp, placement)
+    states = D.enumerate_count_states(mp, cfg.total)
+    Q = D.dual_generator(mp, states)
+    start = _state_index(states, cfg.counts)
+    t, n = 0.7, 20_000
+    rng = stream(11, "count-law", cfg.total)
+    terminal = np.array([D.simulate_dual(cfg, mp, t, rng)[1].counts
+                         for _ in range(n)])
+    hits = (terminal[:, None] == states).all(axis=(2, 3))
+    assert np.all(hits.sum(axis=1) == 1)
+    p = np.array([F._generator_exp(Q, t, unit)[start]
+                  for unit in np.identity(len(states))])
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.abs(hits.mean(axis=0) - p) <= 4.0 * np.sqrt(p * (1 - p) / n))
+
+
 @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 2.3, 50.0])
 def test_generator_exp_matches_expm(t):
     # the oracles' uniformised action exp(Q t) v against scipy's Pade expm,

@@ -264,12 +264,12 @@ def test_simulate_replay_bit_identical():
     mp = small_params(N=2, levels=1, c=(1.0, 0.5), e=(1.0, 1.0), K=(1.0, 2.0))
     init = P.InitSpec(theta_x=0.5, theta_y=(0.3, 0.6), law="beta")
     plan = F.RecordPlan(times=(0.0, 0.5, 1.0), snapshots=True)
-    rec1 = F.simulate(mp, init, 1.0, plan, seed=42, replica=3)
-    rec2 = F.simulate(mp, init, 1.0, plan, seed=42, replica=3)
+    rec1 = F.simulate(mp, init, 1.0, plan, seed=42)
+    rec2 = F.simulate(mp, init, 1.0, plan, seed=42)
     assert np.array_equal(rec1.snapshots_x, rec2.snapshots_x)
     assert np.array_equal(rec1.snapshots_y, rec2.snapshots_y)
     assert np.array_equal(rec1.theta_bar, rec2.theta_bar)
-    rec3 = F.simulate(mp, init, 1.0, plan, seed=42, replica=4)
+    rec3 = F.simulate(mp, init, 1.0, plan, seed=43)
     assert not np.array_equal(rec1.snapshots_x, rec3.snapshots_x)
 
 
