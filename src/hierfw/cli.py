@@ -111,6 +111,26 @@ def _check_keys(block: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a key repeated within one mapping, which
+    safe_load would merge silently (the last value wins).  Keys merged in
+    with ``<<`` are no repeat: the mapping's own keys override them."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key, _ in node.value:
+            if (not isinstance(key, yaml.ScalarNode)
+                    or key.tag == "tag:yaml.org,2002:merge"):
+                continue
+            if (key.tag, key.value) in seen:
+                raise ConfigError(
+                    f"config repeats the key {key.value!r} in one mapping "
+                    f"(line {key.start_mark.line + 1})")
+            seen.add((key.tag, key.value))
+        return node
+
+
 def load_config(path) -> tuple:
     """Parse and validate a YAML experiment config; returns (dict, raw bytes).
 
@@ -118,7 +138,7 @@ def load_config(path) -> tuple:
     """
     raw = Path(path).read_bytes()
     try:
-        cfg = yaml.safe_load(raw)
+        cfg = yaml.load(raw, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -334,7 +354,11 @@ def cmd_simulate_forward(job: Job) -> tuple:
     if mp.init is None:
         raise ConfigError("simulate-forward needs an init block")
     horizon = run.get("horizon", 1.0)
-    times = run.get("times") or np.linspace(0.0, horizon, 11).tolist()
+    times = run.get("times")
+    if times is None:
+        times = np.linspace(0.0, horizon, 11).tolist()
+    elif not times:
+        raise ConfigError("run.times must name at least one record time")
     plan = forward.RecordPlan(times=times,
                               snapshots=run.get("snapshots", False))
     rec = forward.simulate(mp, mp.init, horizon, plan, seed=job.seed,

@@ -21,11 +21,17 @@ sum_l R_l (m_l - m_{l-1}) with tail rates R_l = sum_{k>=l} c_{k-1}/N^{k-1},
 is accumulated from the top level down at each level's own resolution, so
 only the level-1 means read the colony array.  A step then visits the
 (W, C) replica-by-colony array in cache-sized tiles, in row-major order: a
-tile is a band of whole rows when a row is short, else a span of whole
-level-1 blocks of one row.  Each tile draws its normals just before it uses
-them, from the generator of each of its rows, and updates one dormant
-colour at a time, so neither a (W, C) normals array nor an (M, C)
-temporary is allocated.
+tile is a band of whole rows when a row is short, else a span of N^k d
+colonies of one row (d a divisor of N), so that every level block at least
+a span long is a whole number of tiles.  Each tile draws its normals just
+before it uses them, from the generator of each of its rows, and updates
+one dormant colour at a time, so neither a (W, C) normals array nor an
+(M, C) temporary is allocated.
+
+A trajectory record takes its block means from per-tile sums of x and y_m,
+which the step's tile pass adds up while a tile is in cache: levels at least
+a tile long are sums of whole tiles, and shorter ones are read from the
+first N^l colonies.  So no record rereads the state beyond one tile.
 
 Replicas are vectorised in fixed-width chunks; replica r always draws from
 the stream keyed by (seed, labels, r // CHUNK) at row r % CHUNK.
@@ -55,8 +61,9 @@ class SizeError(ValueError):
 
 
 # A step visits colonies in tiles of at most this many state entries per
-# array (rows of more than this many colonies are split into spans), so that
-# a tile's x, y_m, normals and increments stay in cache for the step.
+# array (rows of more than this many colonies are split into spans of whole
+# level blocks; see _tile_shape), so that a tile's x, y_m, normals and
+# increments stay in cache for the step, and so do the sums a record takes.
 _TILE = 1 << 15
 # ensemble_reduce stacks as many replica chunks as keep a group's (x, y)
 # state within this many bytes (always at least one chunk).
@@ -149,18 +156,44 @@ def default_dt(params: ModelParams) -> float:
     return 0.1 / _total_rate(params)
 
 
+def _tile_shape(W: int, C: int, N: int) -> tuple:
+    """(band, span) of the tiles of a (W, C) array: rows per tile, colonies
+    per tile.
+
+    A row of at most ``_TILE`` entries is one span, and a band holds as many
+    whole rows as fit.  A longer row is split into spans of N^k d colonies,
+    k the largest power and d the largest divisor of N with N^k d <= _TILE
+    (never less than N), so every level-l block with N^l >= span is a whole
+    number of spans.
+    """
+    if C <= _TILE:
+        return _TILE // C, C
+    power = 1
+    while power * N <= _TILE:
+        power *= N
+    d = max(d for d in range(1, N + 1) if N % d == 0 and power * d <= _TILE)
+    return 1, max(N, power * d)
+
+
 def _run_means(a: np.ndarray, N: int) -> np.ndarray:
     """Means of consecutive runs of N entries along the rows of a (W, n) array.
 
     Summed one column of the runs at a time, which is as fast as a reduction
-    for large arrays and far faster when the runs are short and many.
+    for large arrays and far faster when the runs are short and many, and
+    one tile at a time, so that the N column passes find the tile in cache.
     """
-    runs = a.reshape(a.shape[0], -1, N)
-    total = runs[:, :, 0].copy()
-    for k in range(1, N):
-        total += runs[:, :, k]
-    total /= N
-    return total
+    W, n = a.shape
+    band, span = _tile_shape(W, n, N)
+    means = np.empty((W, n // N))
+    for top in range(0, W, band):
+        for lo in range(0, n, span):
+            runs = a[top:top + band, lo:lo + span].reshape(-1, span // N, N)
+            total = means[top:top + band, lo // N:(lo + span) // N]
+            np.copyto(total, runs[:, :, 0])
+            for k in range(1, N):
+                total += runs[:, :, k]
+            total /= N
+    return means
 
 
 def _drift_levels(x: np.ndarray, N: int, tails: np.ndarray) -> tuple:
@@ -187,36 +220,42 @@ def _drift_levels(x: np.ndarray, N: int, tails: np.ndarray) -> tuple:
 
 
 def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
-             *rngs) -> int:
+             *rngs, before: Optional[np.ndarray] = None,
+             after: Optional[np.ndarray] = None) -> int:
     """Advance (x, y) in place by n_steps; returns the number of clip events.
 
     x has shape (W, C) and y (W, M, C).  The rows are split evenly among
     ``rngs``: generator i draws the normals of the i-th share of rows, in
-    row-major order, at every step.  A tile is a band of whole rows when a
-    row fits in ``_TILE`` entries, else a span of whole level-1 blocks of
-    one row.  Either way the tiles visit x in row-major order, so a tile
-    draws its normals just before it uses them, part by part from the
-    generator of each share it covers, into one reused buffer of at most
-    ``_TILE`` entries: no (W, C) normals array is allocated.
+    row-major order, at every step.  The tiles are those of
+    ``_tile_shape`` and visit x in row-major order, so a tile draws its
+    normals just before it uses them, part by part from the generator of
+    each share it covers, into one reused buffer of at most ``_TILE``
+    entries: no (W, C) normals array is allocated.
+
+    ``before`` and ``after``, when given, are (tiles, M + 1) arrays that
+    receive each tile's sums of x and of each y_m: ``before`` of the state
+    the call starts from (taken in the first step, before the tile's
+    update), ``after`` of the state it ends at (taken in the last step).
     """
     W, C = x.shape
     N, dt, R1 = ctx.N, ctx.dt, ctx.drift_tails[0]
     coarse_levels = len(ctx.drift_tails) > 1     # else the coarse drift is 0
     rows = W // len(rngs)
-    if C <= _TILE:
-        band, span = _TILE // C, C
-    else:
-        band, span = 1, max(N, _TILE // N * N)
+    band, span = _tile_shape(W, C, N)
     noise = np.empty(band * span)
     tiles = [(top, lo) for top in range(0, W, band)
              for lo in range(0, C, span)]
     clips = 0
-    for _ in range(n_steps):
+    for step in range(n_steps):
+        first = before if step == 0 else None
+        last = after if step == n_steps - 1 else None
         m1, coarse = _drift_levels(x, N, ctx.drift_tails)
-        for top, lo in tiles:
+        for t, (top, lo) in enumerate(tiles):
             band_rows = slice(top, top + band)
             xt = x[band_rows, lo:lo + span]
             b = xt.shape[0]
+            if first is not None:
+                first[t, 0] = np.add.reduce(xt, axis=None)
             normals = noise[:xt.size].reshape(xt.shape)
             # the tile's rows of each generator's share, in order
             for i in range(top // rows, (top + b - 1) // rows + 1):
@@ -237,35 +276,32 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
             inc += dy
             for m, (f, K) in enumerate(zip(ctx.exch_f, ctx.K)):
                 ym = y[band_rows, m, lo:lo + span]
+                if first is not None:
+                    first[t, m + 1] = np.add.reduce(ym, axis=None)
                 np.subtract(xt, ym, out=dy)
                 dy *= f
                 ym += dy
+                if last is not None:
+                    last[t, m + 1] = np.add.reduce(ym, axis=None)
                 dy *= K
                 inc -= dy
             xt += inc
             clips += int(np.count_nonzero(xt < 0.0) + np.count_nonzero(xt > 1.0))
             np.clip(xt, 0.0, 1.0, out=xt)
+            if last is not None:
+                last[t, 0] = np.add.reduce(xt, axis=None)
     return clips
 
 
-# ----------------------------------------------------------------------
-# Estimators
-# ----------------------------------------------------------------------
-
-
-def estimator_arrays(x: np.ndarray, y: np.ndarray, K: np.ndarray,
-                     level: int, N: int) -> tuple:
-    """(theta_bar, theta_x, theta_y) over the level-l block around 0.
-
-    theta_bar^{(l)} weights the active block mean with the colour means of
-    colours m < l:  (theta_x + sum_{m<l} K_m theta_{y_m}) / (1 + sum_{m<l} K_m).
-    """
-    width = N ** level
-    th_x = x[..., :width].mean(axis=-1)
-    th_y = y[..., :width].mean(axis=-1)        # (..., M)
-    Kl = K[:level]
-    th_bar = (th_x + np.sum(Kl * th_y[..., :level], axis=-1)) / (1.0 + Kl.sum())
-    return th_bar, th_x, th_y
+def _tile_sums(x: np.ndarray, y: np.ndarray, span: int) -> np.ndarray:
+    """Each span's sums of x and of each y_m of a one-row state: the sums
+    ``_advance`` takes, for a state that no step visits."""
+    starts = range(0, x.shape[1], span)
+    sums = np.empty((len(starts), y.shape[1] + 1))
+    for t, lo in enumerate(starts):
+        sums[t, 0] = np.add.reduce(x[0, lo:lo + span])
+        sums[t, 1:] = np.add.reduce(y[0, :, lo:lo + span], axis=-1)
+    return sums
 
 
 # ----------------------------------------------------------------------
@@ -337,23 +373,47 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
     steps_at = _record_steps(plan.times, dt)
     if any(s * dt > horizon * (1 + 1e-9) + dt for s in steps_at):
         raise ValueError("record times must lie in [0, horizon]")
-    M, C = params.levels + 1, params.n_colonies
+    N, M, C = params.N, params.levels + 1, params.n_colonies
     T, L = len(steps_at), M + 1      # levels 0 .. M; level M is the whole system
     theta_bar, theta_x = np.empty((T, L)), np.empty((T, L))
     theta_y = np.empty((T, L, M))
     snapshots_x = np.empty((T, C)) if plan.snapshots else None
     snapshots_y = np.empty((T, M, C)) if plan.snapshots else None
+    # a level at least a tile long is read from the tile sums of the record's
+    # state, which the step's tile pass takes; a shorter one from the state
+    span = _tile_shape(1, C, N)[1]
+    short = [l for l in range(L) if N ** l < span]
+    at_start = np.empty((C // span, M + 1))    # tile sums of the state at step 0
+    sums = at_start
+    record_sums = []
     clips = 0
     done = 0
     for i, target in enumerate(steps_at):
-        clips += _advance(x, y, target - done, ctx, rng)
-        done = target
-        for l in range(L):
-            theta_bar[i, l], theta_x[i, l], theta_y[i, l] = estimator_arrays(
-                x[0], y[0], K, l, params.N)
+        if target > done:
+            # records at step 0, if any, take the first step's sums before it
+            before = at_start if i and not done else None
+            sums = np.empty_like(at_start)
+            clips += _advance(x, y, target - done, ctx, rng, before=before,
+                              after=sums)
+            done = target
+        record_sums.append(sums)
+        for l in short:
+            theta_x[i, l] = x[0, :N ** l].mean()
+            theta_y[i, l] = y[0, :, :N ** l].mean(axis=-1)
         if plan.snapshots:
             snapshots_x[i] = x[0]
             snapshots_y[i] = y[0]
+    if not done:                 # no step followed the records at step 0
+        at_start[:] = _tile_sums(x, y, span)
+    for l in range(len(short), L):
+        width = N ** l
+        for i, sums in enumerate(record_sums):
+            means = sums[:width // span].sum(axis=0) / width
+            theta_x[i, l], theta_y[i, l] = means[0], means[1:]
+    for l in range(L):
+        Kl = K[:l]
+        weighted = theta_x[:, l] + np.sum(Kl * theta_y[:, l, :l], axis=-1)
+        theta_bar[:, l] = weighted / (1.0 + Kl.sum())
     clip_fraction = clips / (max(done, 1) * C)
     return TrajectoryRecord(
         times=np.asarray(steps_at, dtype=float) * dt, levels=np.arange(L),
@@ -372,8 +432,10 @@ def _record_steps(times: Sequence[float], dt: float) -> list:
     if any(t < 0 for t in times):
         raise ValueError("record times must be non-negative")
     for t in times:
-        if math.isinf(float(t) / dt):
-            raise ValueError(f"record time {t:g} / dt = {dt:g} overflows")
+        # beyond 2^53 steps, s * dt no longer tells consecutive steps apart
+        if not float(t) / dt < 2.0 ** 53:
+            raise ValueError(f"record time {t:g} / dt = {dt:g} overflows "
+                             f"2^53 steps")
     steps = [int(round(t / dt)) for t in times]
     if sorted(steps) != steps:
         raise ValueError("record times must be non-decreasing")

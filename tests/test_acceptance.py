@@ -17,6 +17,8 @@ from hierfw import cli, dual, forward, params, renorm
 from hierfw.diffusion import fisher_wright, g_fw, grid_from_callable
 from hierfw.rng import stream
 
+from conftest import estimator_arrays
+
 FW = fisher_wright(1.0)
 QUARTIC = grid_from_callable(lambda x: (x * (1 - x)) ** 2)
 GRID21 = np.linspace(0.0, 1.0, 21)
@@ -297,7 +299,7 @@ def test_criterion_08_finite_systems_bound():
     K_arr = np.array([K_])
 
     def obs(x, y):
-        th_bar, th_x, th_y = forward.estimator_arrays(x, y, K_arr, 1, N)
+        th_bar, th_x, th_y = estimator_arrays(x, y, K_arr, 1, N)
         return np.stack([np.abs(th_x - th_y[..., 0]), th_bar], axis=-1)
 
     mean0, se0, _ = forward.ensemble_reduce(mp, init, (0.0,), 2000, 800, obs,

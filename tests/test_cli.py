@@ -283,6 +283,18 @@ def test_midrun_failure_leaves_no_manifest(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+_RUN = "t: 1.0\n  replicas: 4000\n  dt: 0.005"     # TWO_COLONY_CFG's run block
+# an N = 3 model of two levels (27 colonies), with the two-colony run block
+_THREE_LEVEL = TWO_COLONY_CFG.replace(
+    "N: 2\n  levels: 0\n  c: [1.0]\n  e: [1.0]\n  K: [1.0]",
+    "N: 3\n  levels: 2\n  c: [1.0, 1.0, 1.0]\n  e: [1.0, 1.0, 1.0]\n"
+    "  K: [1.0, 1.0, 1.0]")
+# g peaks at 1e300, so the default dt is ~2.5e-302: ~4e301 steps to t = 1
+_STEEP_G = TWO_COLONY_CFG.replace(
+    "g:\n    kind: fisher_wright\n    d: 1.0\n  d: 1.0",
+    "g: {kind: grid, nodes: [0, 0.5, 1], values: [0, 1e300, 0]}").replace(
+    _RUN, "horizon: 1.0")
+
 # two colours, whose undeclared colour 1 would start at theta_limit = 5
 _HEAD = TWO_COLONY_CFG[:TWO_COLONY_CFG.index("  law:")]
 THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
@@ -406,6 +418,28 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
         "burn: 1.0", "burn: -5.0")), "burn must be non-negative, found -5.0"),
     ("interaction-chain", (TWO_COLONY_CFG, CHEAP_RENORM_CFG.replace(
         "sample: 2.0", "sample: -3")), "sample must be positive, found -3.0"),
+    # 2^53 steps or more would run without end; s * dt no longer tells
+    # consecutive steps apart there
+    ("simulate-forward", (TWO_COLONY_CFG, _THREE_LEVEL.replace(
+        _RUN, "horizon: 1e300")),
+     "record time 1e+299 / dt = 0.0257143 overflows 2^53 steps"),
+    ("simulate-forward", (TWO_COLONY_CFG, _THREE_LEVEL.replace(
+        _RUN, "horizon: 1.0\n  dt: 1e-300")),
+     "record time 0.1 / dt = 1e-300 overflows 2^53 steps"),
+    ("simulate-forward", (TWO_COLONY_CFG, _STEEP_G),
+     "record time 0.1 / dt = 2.5e-302 overflows 2^53 steps"),
+    ("duality-check", ("dt: 0.005", "dt: 1e-300"),
+     "record time 1 / dt = 1e-300 overflows 2^53 steps"),
+    # a key repeated within one mapping is refused, not merged
+    ("simulate-forward", (_RUN, "horizon: 1.0\n  horizon: 0.5\n  dt: 0.005"),
+     "config repeats the key 'horizon' in one mapping (line 19)"),
+    ("simulate-dual", ("actives: {0: 2}", "actives: {0: 1, 0: 2}"),
+     "config repeats the key '0' in one mapping (line 16)"),
+    ("classify", ("seed: 7", "seed: 7\nrun: {t: 0.5}"),
+     "config repeats the key 'run' in one mapping (line 22)"),
+    # an empty list of record times is not the default one
+    ("simulate-forward", ("dt: 0.005", "dt: 0.005\n  times: []"),
+     "run.times must name at least one record time"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -415,6 +449,15 @@ def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (out / "manifest.json").exists()
+
+
+def test_merged_keys_yield_to_the_mappings_own(tmp_path):
+    # YAML's merge rule: a key merged in with << is overridden, not repeated
+    text = TWO_COLONY_CFG.replace(
+        _RUN, "<<: {t: 0.5, replicas: 10}\n  t: 1.0\n  replicas: 4000\n"
+        "  dt: 0.005")
+    cfg, _ = cli.load_config(write_cfg(tmp_path, text))
+    assert cfg["run"] == {"t": 1.0, "replicas": 4000, "dt": 0.005}
 
 
 def test_overflowing_h_is_one_line_without_a_warning(tmp_path, capsys):

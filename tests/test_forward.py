@@ -13,6 +13,8 @@ from hierfw import params as P
 from hierfw.diffusion import fisher_wright
 from hierfw.rng import CHUNK, replica_chunks, stream
 
+from conftest import estimator_arrays
+
 FW = fisher_wright(1.0)
 
 
@@ -154,7 +156,7 @@ def test_advance_matches_reference_kernel(N, levels, width):
 
 
 @pytest.mark.parametrize("N,levels,width,tile", [
-    (3, 3, 1, 16),           # one 81-colony row in spans of 15, the last of 6
+    (3, 3, 1, 16),           # one 81-colony row in nine spans of 9
     (3, 2, 2 * CHUNK, 100),  # 3-row bands of 27 colonies; one straddles chunks
 ])
 def test_advance_tiling_leaves_numbers_unchanged(monkeypatch, N, levels,
@@ -200,6 +202,35 @@ def test_advance_memory_peak_is_a_fraction_of_the_state():
     assert peak < 0.5 * x.nbytes
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 8, 10, 16])
+def test_tiles_are_whole_level_blocks(N):
+    # a row longer than a tile splits into spans that tile every level
+    # block at least a span long, and are as long as such spans can be
+    top = 1
+    while N ** top <= F._TILE:
+        top += 1
+    band, span = F._tile_shape(1, N ** (top + 1), N)
+    assert band == 1
+    assert N <= span <= F._TILE < span * N
+    for level in range(1, top + 2):
+        if N ** level >= span:
+            assert N ** level % span == 0
+    assert F._tile_shape(1, 8 ** 7, 8) == (1, 8 ** 5)
+    assert F._tile_shape(1, 16 ** 5, 16) == (1, 16 ** 3 * 8)
+
+
+@pytest.mark.parametrize("W,n,N", [(1, 3 ** 11, 3), (1, 8 ** 6, 8),
+                                   (3, 16 ** 4, 16), (2 * CHUNK, 27, 3)])
+def test_blocked_run_means_equal_whole_array_column_sums(W, n, N):
+    a = stream(N, "run-means").random((W, n))
+    runs = a.reshape(W, -1, N)
+    whole = runs[:, :, 0].copy()
+    for k in range(1, N):
+        whole += runs[:, :, k]
+    whole /= N
+    assert np.array_equal(F._run_means(a, N), whole)
+
+
 @pytest.mark.parametrize("N,levels", [(3, 3), (8, 2)])
 def test_coarse_to_fine_drift_matches_direct_means(N, levels):
     rates = np.array([0.9, 0.4, 0.7, 0.2])[:levels + 1]
@@ -221,14 +252,14 @@ def test_coarse_to_fine_drift_matches_direct_means(N, levels):
 
 def test_block_average_level0_is_colony():
     x, y = np.array([0.2, 0.6]), np.array([[0.1, 0.9]])
-    _, bx, by = F.estimator_arrays(x, y, np.ones(1), 0, N=2)
+    _, bx, by = estimator_arrays(x, y, np.ones(1), 0, N=2)
     assert bx == 0.2
     assert by[0] == 0.1
 
 
 def test_block_average_level1_mean():
     x, y = np.array([0.2, 0.6]), np.array([[0.1, 0.9]])
-    _, bx, by = F.estimator_arrays(x, y, np.ones(1), 1, N=2)
+    _, bx, by = estimator_arrays(x, y, np.ones(1), 1, N=2)
     assert bx == pytest.approx(0.4)
     assert by[0] == pytest.approx(0.5)
 
@@ -236,7 +267,7 @@ def test_block_average_level1_mean():
 def test_block_average_uniform_state():
     x, y = np.full(8, 0.33), np.full((2, 8), 0.7)
     for level in (0, 1, 2, 3):
-        _, bx, by = F.estimator_arrays(x, y, np.ones(2), level, N=2)
+        _, bx, by = estimator_arrays(x, y, np.ones(2), level, N=2)
         assert bx == pytest.approx(0.33)
         assert np.allclose(by, 0.7)
 
@@ -249,7 +280,7 @@ def test_estimator_identity(seed_val):
     y = rng.random((3, 8))
     K = rng.random(3) * 4 + 0.01
     for level in (0, 1, 2, 3):
-        th_bar, th_x, th_y = F.estimator_arrays(x, y, K, level, N=2)
+        th_bar, th_x, th_y = estimator_arrays(x, y, K, level, N=2)
         Kl = K[:level]
         expect = (th_x + np.sum(Kl * th_y[:level])) / (1.0 + Kl.sum())
         assert th_bar == pytest.approx(expect, rel=1e-14)
@@ -286,6 +317,40 @@ def test_simulate_estimator_identity_at_records():
             assert rec.theta_bar[i, j] == pytest.approx(expect, rel=1e-13)
 
 
+@pytest.mark.parametrize("N,levels,tile,times", [
+    (3, 3, 20, (0.0, 0.0, 0.3, 0.3)),       # 81 colonies in spans of 9
+    (16, 1, 100, (0.0, 0.0, 0.3, 0.3)),     # 256 colonies in spans of 16 * 4
+    (3, 3, 1 << 15, (0.0, 0.0, 0.3, 0.3)),  # one tile holds the row
+    (3, 3, 20, (0.0,)),                      # no step precedes or follows
+    (16, 1, 1 << 15, (0.0,)),
+])
+def test_simulate_records_match_direct_means(monkeypatch, N, levels, tile,
+                                             times):
+    # records take their block means from tile sums; the reference reads
+    # them from the recorded state
+    monkeypatch.setattr(F, "_TILE", tile)
+    M = levels + 1
+    mp = small_params(N=N, levels=levels, c=(1.0,) * M,
+                      e=tuple(1.0 + k for k in range(M)),
+                      K=tuple(0.5 * (k + 1) for k in range(M)))
+    init = P.InitSpec(theta_x=0.6, theta_y=(0.2, 0.7), law="beta")
+    rec = F.simulate(mp, init, times[-1],
+                     F.RecordPlan(times=times, snapshots=True), seed=3)
+    K = np.asarray(mp.K)
+    for i in range(len(times)):
+        for l in rec.levels:
+            th_bar, th_x, th_y = estimator_arrays(
+                rec.snapshots_x[i], rec.snapshots_y[i], K, int(l), N)
+            np.testing.assert_allclose(rec.theta_bar[i, l], th_bar, rtol=1e-13)
+            np.testing.assert_allclose(rec.theta_x[i, l], th_x, rtol=1e-13)
+            np.testing.assert_allclose(rec.theta_y[i, l], th_y, rtol=1e-13)
+    if len(times) > 1:
+        # a repeated record time records the same state's means
+        assert np.array_equal(rec.theta_y[0], rec.theta_y[1])
+        assert np.array_equal(rec.theta_y[2], rec.theta_y[3])
+        assert not np.array_equal(rec.theta_y[1], rec.theta_y[2])
+
+
 def test_trajectory_csv_rows():
     mp = two_colony()
     rec = F.simulate(mp, P.InitSpec.constant(0.5), 0.2,
@@ -311,7 +376,7 @@ def test_grand_mean_zero_drift_in_ensemble():
     K = np.asarray(mp.K)
 
     def grand(x, y):
-        th_bar, _, _ = F.estimator_arrays(x, y, K, mp.levels + 1, mp.N)
+        th_bar, _, _ = estimator_arrays(x, y, K, mp.levels + 1, mp.N)
         return th_bar[:, None]
 
     mean, se, _ = F.ensemble_reduce(mp, init, (0.0, 1.0, 2.0), 4096, 11, grand,
