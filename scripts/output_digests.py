@@ -1,6 +1,7 @@
 """Digests of the CLI's outputs, for comparing two checkouts byte for byte.
 
     python scripts/output_digests.py ROOT > digests.txt
+    python scripts/output_digests.py --compare OLD.txt NEW.txt
 
 Runs the seven subcommands in process through ``hierfw.cli.main`` of
 ROOT/src, with ``--seed 5``, on every ``*_CFG`` config of
@@ -9,7 +10,9 @@ ROOT/perfbench/workloads/*.yaml, less the pairs in ``SKIP``, which need
 several GB.  Each run writes into a fresh temporary directory.  One line per
 run: config, command, exit code, the sha256 of stderr and of each output
 file, and the manifest less its ``version``.  Two checkouts give the same
-outputs when ``diff`` finds no difference between their lines.
+outputs when their lines agree; ``--compare`` prints each (config, command)
+pair that both digest files hold with differing lines, and exits 1 if there
+is one.
 """
 
 import contextlib
@@ -76,10 +79,27 @@ def digest(cli, name: str, text: str, command: str, tmp: Path) -> str:
     return " ".join(fields)
 
 
+def compare(old: list, new: list) -> list:
+    """(config, command) pairs present in both lists of digest lines whose
+    lines differ."""
+    def by_pair(lines):
+        return {tuple(line.split()[:2]): line for line in lines}
+    old, new = by_pair(old), by_pair(new)
+    return sorted(pair for pair in old.keys() & new.keys()
+                  if old[pair] != new[pair])
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        old, new = (Path(a).read_text().splitlines() for a in args[1:])
+        differing = compare(old, new)
+        for config, command in differing:
+            print(f"outputs differ: {config} {command}")
+        return 1 if differing else 0
     if len(args) != 1:
-        print("usage: python scripts/output_digests.py ROOT", file=sys.stderr)
+        print("usage: python scripts/output_digests.py ROOT | "
+              "--compare OLD.txt NEW.txt", file=sys.stderr)
         return 2
     root = Path(args[0]).resolve()
     sys.path.insert(0, str(root / "src"))

@@ -215,14 +215,20 @@ def build_model(cfg: dict) -> params.ModelParams:
                       init=init)
         if "family" in m:
             fam = _build_family(m["family"])
-            return params.ModelParams.from_family(family=fam, **common)
-        return params.ModelParams(
-            c=tuple(_floats(m["c"])), e=tuple(_floats(m["e"])),
-            K=tuple(_floats(m["K"])), **common)
+            mp = params.ModelParams.from_family(family=fam, **common)
+        else:
+            mp = params.ModelParams(
+                c=tuple(_floats(m["c"])), e=tuple(_floats(m["e"])),
+                K=tuple(_floats(m["K"])), **common)
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {block} block: {exc}") from exc
+    if init is not None and len(init.theta_y) > mp.levels + 1:
+        raise ConfigError(f"invalid init block: init.theta_y lists "
+                          f"{len(init.theta_y)} colours, the model has "
+                          f"{mp.levels + 1}")
+    return mp
 
 
 def _lineages(block: dict, mp: params.ModelParams) -> dict:

@@ -87,12 +87,6 @@ def fisher_wright(d: float = 1.0) -> DiffusionFn:
     return DiffusionFn(np.array([0.0, 1.0]), np.array([d, d], dtype=float))
 
 
-def g_fw(x):
-    """Standard Fisher-Wright diffusion function x(1-x)."""
-    x = np.asarray(x)
-    return x * (1.0 - x)
-
-
 def grid_from_callable(f: Callable) -> DiffusionFn:
     """f at 129 uniform nodes, through ``DiffusionFn.from_g``; f's endpoint
     values are not read."""

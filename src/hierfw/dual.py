@@ -33,7 +33,7 @@ import numpy as np
 from . import rng as rngmod
 from .forward import (SizeError, SystemState, _generator_exp, _mean_se,
                       ensemble_reduce, lineage_generator)
-from .params import ModelParams, derive, wakeup_sampler
+from .params import ModelParams
 
 
 class DualityError(ValueError):
@@ -68,12 +68,6 @@ class DualConfig:
         for colony, n in placement.items():
             counts[0, colony] = n
         return cls(counts)
-
-
-@dataclass(frozen=True)
-class RenewalSample:
-    sigma: np.ndarray  # active durations, i.i.d. exponential(chi)
-    tau: np.ndarray    # dormant durations, the colour mixture
 
 
 # ----------------------------------------------------------------------
@@ -424,45 +418,3 @@ def duality_estimate(params: ModelParams, z: SystemState, cfg0: DualConfig,
     return DualityReport(lhs=float(mean[0, 0]), lhs_se=float(se[0, 0]),
                          rhs=rhs, rhs_se=rhs_se, exact_rhs=exact,
                          t=t, replicas=n_replicas)
-
-
-# ----------------------------------------------------------------------
-# Renewal process and tail fit
-# ----------------------------------------------------------------------
-
-
-def renewal_sample(params: ModelParams, n: int, rng) -> RenewalSample:
-    """n activity/dormancy cycles of one dual lineage."""
-    derived = derive(params)
-    sigma = rng.exponential(1.0 / derived.chi, size=n)
-    tau = wakeup_sampler(params, derived, rng, n=n)
-    return RenewalSample(sigma=sigma, tau=tau)
-
-
-@dataclass(frozen=True)
-class TailFit:
-    gamma: float
-    power_law_plausible: bool
-
-
-def tail_fit(sample: RenewalSample) -> TailFit:
-    """Hill estimate of the tail exponent of P(tau > t).
-
-    Uses the top 1% of the order statistics.  The estimate is recomputed at
-    k/4; a strong drift between the two marks the sample as inconsistent
-    with a power tail (e.g. a single exponential colour).
-    """
-    tau = np.sort(np.asarray(sample.tau, dtype=float))
-    n = len(tau)
-    if n < 10_000:
-        raise ValueError("tail fit needs at least 1e4 samples")
-    k = max(int(n * 0.01), 100)
-    logs = np.log(tau[-k:])
-    gamma_k = 1.0 / float(np.mean(logs - math.log(tau[-k - 1])))
-    k4 = k // 4
-    logs4 = np.log(tau[-k4:])
-    gamma_k4 = 1.0 / float(np.mean(logs4 - math.log(tau[-k4 - 1])))
-    drift = abs(math.log(gamma_k4 / gamma_k))
-    # a genuine power tail gives a k-stable Hill estimate (drift ~ 0.05 at
-    # these sample sizes); an exponential tail drifts by ~ log(1 + log4 / log(n/k))
-    return TailFit(gamma=gamma_k, power_law_plausible=drift < 0.15)

@@ -77,11 +77,10 @@ _GROUP_BYTES = 256 * 1024
 
 @dataclass
 class SystemState:
-    """Configuration of the truncated system: x (C,), y (M, C), time."""
+    """Configuration of the truncated system: x (C,), y (M, C)."""
 
     x: np.ndarray
     y: np.ndarray
-    time: float = 0.0
 
 
 def initial_arrays(params: ModelParams, init: InitSpec, rng,
@@ -110,7 +109,7 @@ def initial_arrays(params: ModelParams, init: InitSpec, rng,
 
 def initial_state(params: ModelParams, init: InitSpec, rng) -> SystemState:
     x, y = initial_arrays(params, init, rng, width=1)
-    return SystemState(x[0], y[0], 0.0)
+    return SystemState(x[0], y[0])
 
 
 # ----------------------------------------------------------------------
@@ -286,8 +285,10 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
                 dy *= K
                 inc -= dy
             xt += inc
-            clips += int(np.count_nonzero(xt < 0.0) + np.count_nonzero(xt > 1.0))
-            np.clip(xt, 0.0, 1.0, out=xt)
+            if xt.min() < 0.0 or xt.max() > 1.0:
+                clips += int(np.count_nonzero(xt < 0.0)
+                             + np.count_nonzero(xt > 1.0))
+                np.clip(xt, 0.0, 1.0, out=xt)
             if last is not None:
                 last[t, 0] = np.add.reduce(xt, axis=None)
     return clips
@@ -563,7 +564,7 @@ def first_moment_oracle(params: ModelParams, state: SystemState,
     Q = lineage_generator(params)
     z0 = np.concatenate([state.x, state.y.reshape(M * C)])
     zt = _generator_exp(Q, t, z0)
-    return SystemState(zt[:C], zt[C:].reshape(M, C), state.time + t)
+    return SystemState(zt[:C], zt[C:].reshape(M, C))
 
 
 # ----------------------------------------------------------------------

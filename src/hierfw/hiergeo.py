@@ -14,11 +14,11 @@ Note that a level-k jump lands back on the starting colony with probability
 N^{-k}; the total jump-initiation rate sum_k c_{k-1}/N^{k-1} therefore splits
 into the off-diagonal kernel mass plus a self-landing mass.
 
-The time-t kernel of the walk is evaluated through its eigen-expansion
-(distance-distribution weights r_j, eigen-rates h_j); the expansion is the
-one for the rate-normalised walk, so h_j-time is measured in units of one
-expected jump.  Constants and slope fits built on top of it are unaffected by
-that time change.
+The time-t return probability of the walk is evaluated through its
+eigen-expansion (distance-distribution weights r_j, eigen-rates h_j); the
+expansion is the one for the rate-normalised walk, so h_j-time is measured
+in units of one expected jump.  Constants and slope fits built on top of it
+are unaffected by that time change.
 """
 
 from __future__ import annotations
@@ -160,45 +160,18 @@ def build_expansion(spec: KernelSpec) -> KernelExpansion:
     return KernelExpansion(N=N, r=r, h=h, log_h=np.log(h))
 
 
-def transition_kernel(t: float, target_level: int,
-                      exp_: KernelExpansion) -> float:
-    """Time-t probability a_t(0, eta) for any eta at distance ``target_level``.
-
-    t counts expected jumps: it is time t / q of the walk with pair rates
-    ``migration_matrix(spec)``, q = sum_{eta != 0} a(0, eta) being its
-    off-diagonal exit rate.  Raises AccuracyError when the stored truncation
-    cannot bound the neglected tail below 1e-12.
-    """
-    if t < 0:
-        raise ParameterError("time must be non-negative")
-    N, L, k = exp_.N, exp_.levels, target_level
-    if k > L:
-        raise ParameterError("target level beyond stored truncation")
-    remainder = float(N) ** (-L)  # 0 <= neglected tail <= N^-L
-    if remainder > 1e-12:
-        raise AccuracyError(
-            f"truncation {L} leaves tail bound {remainder:.3e} > 1e-12"
-        )
-    j = np.arange(max(k, 1), L + 1)
-    weights = np.full(j.shape, float(N - 1))
-    if k > 0:
-        weights[0] = -1.0  # K_kk = -1
-    terms = weights * np.exp(-exp_.h[j - 1] * t) * float(N) ** (-j.astype(float))
-    return float(np.sum(terms))
-
-
 def log_return_probability(log_t: np.ndarray,
                            exp_: KernelExpansion) -> np.ndarray:
     """log a_t(0,0) on a grid of log-times, safely for astronomically large t.
 
-    t counts expected jumps, as in ``transition_kernel``: it is time t / q
-    of the walk with pair rates ``migration_matrix(spec)``, q the
-    off-diagonal exit rate of colony 0, whose return probability is this
-    a_t(0,0) plus the uniform mass N^-L of the truncated group.  All
-    distance-0 terms are positive, so the log-sum-exp is exact.  Raises
-    AccuracyError if the deepest stored eigen-rate is not yet frozen
-    (h_L * t > 0.1) at the largest requested time, since then the
-    truncated expansion is missing decaying mass it cannot represent.
+    t counts expected jumps: it is time t / q of the walk with pair rates
+    ``migration_matrix(spec)``, q the off-diagonal exit rate of colony 0,
+    whose return probability is this a_t(0,0) plus the uniform mass N^-L of
+    the truncated group.  All distance-0 terms are positive, so the
+    log-sum-exp is exact.  Raises AccuracyError if the deepest stored
+    eigen-rate is not yet frozen (h_L * t > 0.1) at the largest requested
+    time, since then the truncated expansion is missing decaying mass it
+    cannot represent.
     """
     from scipy.special import logsumexp  # scipy.special loads on first use
     log_t = np.atleast_1d(np.asarray(log_t, dtype=float))

@@ -7,7 +7,7 @@ sequences is deterministic arithmetic collected here:
   * slowing-down constants E_k = 1 / (1 + sum_{m<k} K_m),
   * total exchange rate chi and total seed-bank size rho,
   * the wake-up time law (mixture of exponentials) and its tail exponent,
-  * the clustering coefficients A_n, A_m^n, B_m and their closed-form
+  * the clustering coefficients A_n, A_m^n and their closed-form
     asymptotics for the polynomial and pure-exponential coefficient families,
   * the clustering / coexistence verdict, and a numerical hazard-integral
     diagnostic cross-checking it at fixed N.
@@ -215,7 +215,6 @@ class DerivedParams:
     chi: float
     E: np.ndarray           # E_0 .. E_{levels+1}
     theta_seq: np.ndarray   # vartheta_0 .. vartheta_{levels}
-    mean_wakeup: float      # rho / chi
 
 
 def slowing_constants(K: np.ndarray, upto: int) -> np.ndarray:
@@ -240,9 +239,8 @@ def derive(params: ModelParams) -> DerivedParams:
         theta_seq = (params.init.theta_x + csum_Kth) / (1.0 + csum_K)
     else:
         theta_seq = np.full(params.levels + 1, np.nan)
-    mean_wakeup = rho / chi if not rho_inf else math.inf
     return DerivedParams(rho=rho, rho_infinite=rho_inf, chi=chi, E=E,
-                         theta_seq=theta_seq, mean_wakeup=mean_wakeup)
+                         theta_seq=theta_seq)
 
 
 # ----------------------------------------------------------------------
@@ -256,19 +254,6 @@ def wakeup_tail(t, params: ModelParams, derived: DerivedParams):
     rates = params.exchange_rates()
     w = params.sleep_rates() / derived.chi
     return np.sum(w[:, None] * np.exp(-np.outer(rates, np.atleast_1d(t))), axis=0)
-
-
-def wakeup_sampler(params: ModelParams, derived: DerivedParams, rng,
-                   n: int = 1) -> np.ndarray:
-    """n draws of the wake-up time tau.
-
-    Colour m is chosen with probability K_m e_m N^-m / chi, then the duration
-    is exponential with rate e_m / N^m.
-    """
-    rates = params.exchange_rates()
-    w = params.sleep_rates() / derived.chi
-    colours = rng.choice(len(w), size=n, p=w / w.sum())
-    return rng.exponential(1.0 / rates[colours])
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +334,6 @@ class AsymptoticClass:
 class ClusteringCoefficients:
     terms: np.ndarray        # A_k^k for k = 0..n_max-1
     A: np.ndarray            # A_n = sum_{k<n} A_k^k, n = 0..n_max
-    B: np.ndarray            # B_m
     asymptotic: AsymptoticClass
 
     def A_block(self, m: int, n: int) -> float:
@@ -425,8 +409,7 @@ def compute_A(params: ModelParams, derived: DerivedParams,
 
     A_n = (1/2) sum_{k=0}^{n-1} (E_k / c_k) (E_k c_k + e_k)
           / ((E_k c_k + e_k) + E_k K_k e_k),
-    with A_m^n the analogous inclusive block sums and B_m the dormant
-    correction (1/2) E_m^2 / ((E_m c_m + e_m) + E_m K_m e_m).
+    with A_m^n the analogous inclusive block sums.
     """
     if n_max > params.levels + 1:
         raise ValueError("n_max exceeds the stored coefficient range")
@@ -436,10 +419,9 @@ def compute_A(params: ModelParams, derived: DerivedParams,
     E = derived.E[:n_max]
     denom = (E * c + e) + E * K * e
     terms = 0.5 * (E / c) * (E * c + e) / denom
-    B = 0.5 * E ** 2 / denom
     A = np.concatenate([[0.0], np.cumsum(terms)])
     asym = _dichotomy_class(params.family, derived.rho, derived.rho_infinite, c)
-    return ClusteringCoefficients(terms=terms, A=A, B=B, asymptotic=asym)
+    return ClusteringCoefficients(terms=terms, A=A, asymptotic=asym)
 
 
 def coefficient_rows(coeffs: ClusteringCoefficients, n_values) -> list:

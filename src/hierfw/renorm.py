@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .diffusion import DiffusionFn, g_fw
+from .diffusion import DiffusionFn, fisher_wright
 from .params import ClusteringCoefficients, DerivedParams, ModelParams
 
 
@@ -319,7 +319,6 @@ class OrbitReport:
     levels: np.ndarray            # 1 .. n_levels
     A: np.ndarray                 # A_n per level
     theta_grid: np.ndarray
-    scaled_values: np.ndarray     # (n_levels, nodes): A_n * (F^(n) g)
     sup_distance: np.ndarray      # sup-node |A_n F^(n) g - g_FW|
     grids: list                   # F^(n) g as DiffusionFn per level
 
@@ -337,21 +336,19 @@ def iterate_F_scaled(g: DiffusionFn, params: ModelParams,
     if n_levels > params.levels + 1:
         raise ValueError("orbit depth exceeds stored coefficient range")
     grid = np.asarray(theta_grid, dtype=float)
-    fw_ref = g_fw(grid)
+    fw_ref = fisher_wright()(grid)
     current = g
-    rows, sups, grids = [], [], []
+    sups, grids = [], []
     for n in range(1, n_levels + 1):
         lvl = n - 1
         current = evaluate_F(current, float(derived.E[lvl]), params.c[lvl],
                              params.K[lvl], params.e[lvl], grid)
         vals = coefficients.A[n] * current(grid)
-        rows.append(vals)
         sups.append(float(np.max(np.abs(vals - fw_ref))))
         grids.append(current)
     return OrbitReport(
         levels=np.arange(1, n_levels + 1), A=coefficients.A[1:n_levels + 1],
-        theta_grid=grid, scaled_values=np.asarray(rows),
-        sup_distance=np.asarray(sups), grids=grids,
+        theta_grid=grid, sup_distance=np.asarray(sups), grids=grids,
     )
 
 

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from hierfw import cli, dual, forward, params, renorm
-from hierfw.diffusion import fisher_wright, g_fw, grid_from_callable
+from hierfw.diffusion import fisher_wright, grid_from_callable
 from hierfw.rng import stream
 
-from conftest import estimator_arrays
+from conftest import estimator_arrays, renewal_sample, tail_fit
 
 FW = fisher_wright(1.0)
 QUARTIC = grid_from_callable(lambda x: (x * (1 - x)) ** 2)
@@ -102,7 +102,7 @@ def test_criterion_02_fw_closure():
     res = renorm.sample_F(FW, 1.0, 1.0, 1.0, 1.0, grid, budget, seed=200)
     A00 = 0.5 * (1.0 / 1.0) * 2.0 / 3.0
     d1 = 1.0 / (1.0 + A00)
-    expect = d1 * g_fw(grid)
+    expect = d1 * FW(grid)
     ok = True
     for j in range(1, len(grid) - 1):
         ok &= abs(res.fn(grid)[j] - expect[j]) < 3 * res.se[j]
@@ -358,8 +358,8 @@ def test_criterion_10_wakeup_tail():
         fam = params.ExponentialFamily(K=K_, e=1.0, c=0.25)
         mp = params.ModelParams.from_family(N=8, levels=15, family=fam, g=FW)
         gamma = params.classify(mp).gamma
-        rs = dual.renewal_sample(mp, 1_000_000, stream(1000 + int(K_), "tail"))
-        fit = dual.tail_fit(rs)
+        rs = renewal_sample(mp, 1_000_000, stream(1000 + int(K_), "tail"))
+        fit = tail_fit(rs)
         ok &= fit.power_law_plausible and abs(fit.gamma - gamma) < 0.05
         results.append(f"K={K_}: {fit.gamma:.3f} vs {gamma:.3f}")
     verdict(10, ok,

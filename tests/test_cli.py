@@ -205,7 +205,7 @@ def test_renorm_orbit_matches_oracle(tmp_path):
     assert run(["renorm-orbit", "--config", cfg, "--out", out, "--quiet"]) == 0
     from hierfw import params as P
     from hierfw import renorm as R
-    from hierfw.diffusion import fisher_wright, g_fw
+    from hierfw.diffusion import fisher_wright
     mp = cli.build_model(cli.load_config(cfg)[0])
     der = P.derive(mp)
     co = P.compute_A(mp, der, 3)
@@ -215,7 +215,7 @@ def test_renorm_orbit_matches_oracle(tmp_path):
         rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
         theta = np.array([float(r[0]) for r in rows])
         vals = np.array([float(r[1]) for r in rows])
-        expect = d_seq[level] * g_fw(theta)
+        expect = d_seq[level] * fisher_wright()(theta)
         assert np.max(np.abs(vals - expect)) < 0.01
 
 
@@ -234,7 +234,8 @@ def test_renorm_orbit_summary_keys(tmp_path):
     ("classify", CLUSTERING_CFG),
     ("simulate-forward", CLUSTERING_CFG),
     ("simulate-dual", TWO_COLONY_CFG),
-])
+], ids=["classify-CLUSTERING_CFG", "simulate-forward-CLUSTERING_CFG",
+        "simulate-dual-TWO_COLONY_CFG"])
 def test_reproducible_byte_identical(tmp_path, command, cfg_text):
     cfg = write_cfg(tmp_path, cfg_text)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -440,6 +441,9 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     # an empty list of record times is not the default one
     ("simulate-forward", ("dt: 0.005", "dt: 0.005\n  times: []"),
      "run.times must name at least one record time"),
+    # a colour the model does not have would be dropped silently
+    ("simulate-forward", ("theta_y: [0.4]", "theta_y: [0.1, 0.9, 0.9]"),
+     "invalid init block: init.theta_y lists 3 colours, the model has 1"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))

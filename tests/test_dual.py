@@ -16,6 +16,8 @@ from hierfw import params as P
 from hierfw.diffusion import fisher_wright, grid_from_callable
 from hierfw.rng import stream
 
+from conftest import renewal_sample, tail_fit
+
 
 def two_colony(d=1.0):
     return P.ModelParams(N=2, levels=0, c=(1.0,), e=(1.0,), K=(1.0,),
@@ -555,22 +557,22 @@ def test_duality_estimate_sizes_dual_before_forward(monkeypatch):
 def test_renewal_sigma_exponential_chi():
     mp = two_colony()
     der = P.derive(mp)
-    rs = D.renewal_sample(mp, 50_000, stream(11, "renewal"))
+    rs = renewal_sample(mp, 50_000, stream(11, "renewal"))
     assert stats.kstest(rs.sigma, "expon", args=(0, 1.0 / der.chi)).pvalue > 0.01
 
 
 def test_tail_fit_rejects_single_exponential():
     mp = P.ModelParams(N=4, levels=0, c=(1.0,), e=(1.0,), K=(1.0,),
                        g=fisher_wright(1.0))
-    rs = D.renewal_sample(mp, 200_000, stream(12, "tail-exp"))
-    assert not D.tail_fit(rs).power_law_plausible
+    rs = renewal_sample(mp, 200_000, stream(12, "tail-exp"))
+    assert not tail_fit(rs).power_law_plausible
 
 
 def test_tail_fit_needs_enough_samples():
     mp = two_colony()
-    rs = D.renewal_sample(mp, 1000, stream(13, "tail-small"))
+    rs = renewal_sample(mp, 1000, stream(13, "tail-small"))
     with pytest.raises(ValueError):
-        D.tail_fit(rs)
+        tail_fit(rs)
 
 
 @pytest.mark.slow
@@ -578,8 +580,8 @@ def test_tail_exponent_exponential_family():
     fam = P.ExponentialFamily(K=2.0, e=1.0, c=0.25)
     mp = P.ModelParams.from_family(N=8, levels=15, family=fam, g=fisher_wright(1.0))
     rep = P.classify(mp)
-    rs = D.renewal_sample(mp, 1_000_000, stream(14, "tail-pow"))
-    fit = D.tail_fit(rs)
+    rs = renewal_sample(mp, 1_000_000, stream(14, "tail-pow"))
+    fit = tail_fit(rs)
     assert fit.power_law_plausible
     assert abs(fit.gamma - rep.gamma) < 0.05
 
@@ -589,6 +591,6 @@ def test_tau_mean_matches_rho_over_chi():
     fam = P.ExponentialFamily(K=0.5, e=2.0, c=0.5)
     mp = P.ModelParams.from_family(N=4, levels=12, family=fam, g=fisher_wright(1.0))
     der = P.derive(mp)
-    rs = D.renewal_sample(mp, 1_000_000, stream(15, "tau-mean"))
+    rs = renewal_sample(mp, 1_000_000, stream(15, "tau-mean"))
     se = rs.tau.std(ddof=1) / math.sqrt(len(rs.tau))
-    assert abs(rs.tau.mean() - der.mean_wakeup) < 3 * se
+    assert abs(rs.tau.mean() - der.rho / der.chi) < 3 * se

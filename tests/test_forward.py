@@ -37,7 +37,7 @@ def step(state, dt, params, rng):
     ctx = F._StepContext(params, dt)
     x, y = state.x[None, :].copy(), state.y[None, :, :].copy()
     F._advance(x, y, 1, ctx, rng)
-    return F.SystemState(x[0], y[0], state.time + dt)
+    return F.SystemState(x[0], y[0])
 
 
 def test_constant_state_is_fixed_point_of_noiseless_drift():

@@ -22,7 +22,6 @@ from hierfw.hiergeo import (
     build_expansion,
     log_return_probability,
     total_jump_rate,
-    transition_kernel,
 )
 from hierfw.rng import stream
 
@@ -339,37 +338,6 @@ def test_expansion_r_normalised():
     assert np.all(np.diff(exp_.h) <= 1e-15)  # non-increasing for c_k = c^k
 
 
-def test_kernel_t0_is_delta():
-    spec = KernelSpec(N=3, c=(1.0,) * 30)
-    exp_ = build_expansion(spec)
-    assert transition_kernel(0.0, 0, exp_) == pytest.approx(1.0, abs=1e-10)
-    for k in range(1, 5):
-        assert transition_kernel(0.0, k, exp_) == pytest.approx(0.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("t", [0.0, 0.3, 2.0, 10.0])
-def test_kernel_is_probability_distribution(t):
-    # Sum over the distance classes of a 22-level ball, with the expansion
-    # stored twice as deep so every queried value carries its j-tail.
-    N = 3
-    spec = KernelSpec(N=N, c=(1.0,) * 45)
-    exp_ = build_expansion(spec)
-    total = transition_kernel(t, 0, exp_)
-    assert total > -1e-10
-    for k in range(1, 23):
-        p = transition_kernel(t, k, exp_)
-        assert p > -1e-10
-        total += p * (N ** k - N ** (k - 1))
-    assert total == pytest.approx(1.0, abs=1e-8)
-
-
-def test_truncation_accuracy_error():
-    spec = KernelSpec(N=2, c=(1.0, 1.0))
-    exp_ = build_expansion(spec)
-    with pytest.raises(AccuracyError):
-        transition_kernel(1.0, 0, exp_)
-
-
 def test_return_probability_power_law_slope():
     # pure exponential c_k = c^k with N=4, c=2: a_t(0,0) ~ t^{-(1+delta)},
     # delta = log c / log(N/c) = 1; fitted slope within 5% around t = 1e4
@@ -388,15 +356,6 @@ def test_log_return_probability_guard():
     exp_ = build_expansion(spec)
     with pytest.raises(AccuracyError):
         log_return_probability(np.log([1e30]), exp_)
-
-
-def test_log_return_matches_direct_kernel():
-    spec = KernelSpec(N=3, c=(1.0,) * 30)
-    exp_ = build_expansion(spec)
-    for t in [0.5, 3.0, 40.0]:
-        direct = transition_kernel(t, 0, exp_)
-        logged = float(np.exp(log_return_probability(np.log([t]), exp_)[0]))
-        assert logged == pytest.approx(direct, rel=1e-10)
 
 
 @pytest.mark.parametrize("N,L", [(3, 6), (4, 5)])

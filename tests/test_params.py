@@ -11,6 +11,8 @@ from hierfw import params as P
 from hierfw.diffusion import fisher_wright, grid_from_callable
 from hierfw.rng import stream
 
+from conftest import wakeup_sampler
+
 FW = fisher_wright(1.0)
 
 
@@ -79,7 +81,6 @@ def test_rho_chi():
     assert d.rho == pytest.approx(2.0)          # 1/(1-K)
     # chi = sum (K e / N)^m = 1/(1 - 1/16) on the prefix
     assert d.chi == pytest.approx(16.0 / 15.0, rel=1e-9)
-    assert d.mean_wakeup == pytest.approx(d.rho / d.chi)
 
 
 def test_growth_condition_violation():
@@ -111,16 +112,16 @@ def test_wakeup_sampler_mean_rho_over_chi():
     mp = exp_params(0.5, 2.0, 0.5, N=4, levels=12)
     d = P.derive(mp)
     rng = stream(3, "wakeup")
-    tau = P.wakeup_sampler(mp, d, rng, n=1_000_000)
+    tau = wakeup_sampler(mp, d, rng, n=1_000_000)
     se = tau.std(ddof=1) / math.sqrt(len(tau))
-    assert abs(tau.mean() - d.mean_wakeup) < 3 * se
+    assert abs(tau.mean() - d.rho / d.chi) < 3 * se
 
 
 def test_wakeup_tail_matches_samples():
     mp = exp_params(2, 1, 0.25, levels=8)
     d = P.derive(mp)
     rng = stream(4, "wakeup-tail")
-    tau = P.wakeup_sampler(mp, d, rng, n=100_000)
+    tau = wakeup_sampler(mp, d, rng, n=100_000)
     for t in (1.0, 10.0, 100.0):
         p = float(P.wakeup_tail(t, mp, d)[0])
         emp = np.mean(tau > t)
@@ -219,13 +220,6 @@ def test_A_partial_sums_and_monotone():
     for n in range(1, 11):
         assert co.A[n] == pytest.approx(np.sum(co.terms[:n]), rel=1e-15)
         assert co.A_block(0, n - 1) == pytest.approx(co.A[n], rel=1e-15)
-
-
-def test_B_below_diagonal_block():
-    for mp in (exp_params(2, 1, 0.25), poly_params(0.5, 1.0, 0.0),
-               exp_params(0.5, 2.0, 1.5)):
-        co = P.compute_A(mp, P.derive(mp), 10)
-        assert np.all(co.B <= co.terms + 1e-15)
 
 
 def test_no_seedbank_limit():

@@ -8,7 +8,7 @@ import pytest
 from hierfw import exact as X
 from hierfw import params as P
 from hierfw import renorm as R
-from hierfw.diffusion import DiffusionFn, fisher_wright, g_fw, grid_from_callable
+from hierfw.diffusion import DiffusionFn, fisher_wright, grid_from_callable
 from hierfw.forward import mckean_vlasov_mean
 
 FW = fisher_wright(1.0)
@@ -42,7 +42,7 @@ def test_from_g_keeps_node_values_and_fisher_wright():
         g = DiffusionFn.from_g(nodes, values)
         assert np.allclose(g(nodes), values, rtol=1e-15, atol=0.0)
         for d in (0.5, 0.3):
-            h = DiffusionFn.from_g(nodes, d * g_fw(nodes)).h
+            h = DiffusionFn.from_g(nodes, d * FW(nodes)).h
             assert np.all(np.abs(h - d) <= np.spacing(d))
             assert len(h) == len(nodes)
 
@@ -240,7 +240,7 @@ def test_F_on_fw_family_matches_recursion():
     res = R.sample_F(FW, float(der.E[0]), mp.c[0], mp.K[0], mp.e[0], grid,
                      budget, seed=10)
     d1 = R.fw_recursion_oracle(1.0, 1, co)[1]
-    expect = d1 * g_fw(grid)
+    expect = d1 * FW(grid)
     for j in range(1, len(grid) - 1):
         assert abs(res.fn(grid)[j] - expect[j]) < 3 * res.se[j] + 5e-4
 
@@ -268,7 +268,7 @@ def test_exact_F_matches_fw_recursion(grid):
         E, c, K, e = float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl]
         assert X.exact_method(E, c, K, e) == method
         values = X.exact_F(fisher_wright(d_seq[lvl]), E, c, K, e, interior)
-        rel = np.abs(values / (d_seq[lvl + 1] * g_fw(interior)) - 1.0)
+        rel = np.abs(values / (d_seq[lvl + 1] * FW(interior)) - 1.0)
         assert rel.max() <= 5e-3, (lvl, method, rel.max())
 
 
@@ -346,7 +346,7 @@ def _averaged_by_trapezoid(nodes, h, lam, theta, n=200_001):
 @pytest.mark.parametrize("lam", [0.5, 4.0, 60.0])
 def test_averaged_grid_law_matches_quadrature(lam):
     nodes = np.linspace(0, 1, 11)
-    for values in (0.7 * g_fw(nodes), (nodes * (1 - nodes)) ** 2):
+    for values in (0.7 * FW(nodes), (nodes * (1 - nodes)) ** 2):
         h = DiffusionFn.from_g(nodes, values).h
         for theta in (0.03, 0.5, 0.77):
             got = X._averaged_grid(nodes, h, lam, theta)
@@ -357,7 +357,7 @@ def test_averaged_grid_law_matches_quadrature(lam):
 def test_averaged_law_of_fine_fw_table_is_beta():
     # a 4097-node table of d x(1-x) against the Beta closed form
     nodes = np.linspace(0, 1, 4097)
-    h = DiffusionFn.from_g(nodes, 0.5 * g_fw(nodes)).h
+    h = DiffusionFn.from_g(nodes, 0.5 * FW(nodes)).h
     for lam, theta in ((0.05, 0.03), (0.3, 0.2), (8.0, 0.6)):
         got = X._averaged_grid(nodes, h, lam, theta)
         beta = X._averaged_mean_g(fisher_wright(0.5), lam, theta)
@@ -419,7 +419,6 @@ def synthetic_coeffs(terms):
     terms = np.asarray(terms, dtype=float)
     return P.ClusteringCoefficients(
         terms=terms, A=np.concatenate([[0.0], np.cumsum(terms)]),
-        B=np.zeros_like(terms),
         asymptotic=P.AsymptoticClass("generic", None, None))
 
 
@@ -459,8 +458,8 @@ def test_orbit_fw_matches_oracle():
     orbit = R.iterate_F_scaled(FW, mp, der, co, 4, grid)
     assert np.array_equal(orbit.A, co.A[1:5])
     for n in range(1, 5):
-        exact = co.A[n] * d_seq[n] * g_fw(grid)
-        gaps = np.abs(orbit.scaled_values[n - 1] - exact)
+        exact = co.A[n] * d_seq[n] * FW(grid)
+        gaps = np.abs(co.A[n] * orbit.grids[n - 1](grid) - exact)
         assert np.all(gaps < 4e-3)
 
 
