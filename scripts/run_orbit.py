@@ -36,7 +36,9 @@ def run(name, family, depth, seed):
     print("level   A_n        sup|A_n F^n g - g_FW|  method     "
           "max|exact - MC|  MC SE")
     inputs = [g0] + orbit.grids
-    for n, a, s in orbit.csv_rows():
+    rows = list(zip(orbit.levels.tolist(), orbit.A.tolist(),
+                    orbit.sup_distance.tolist()))
+    for n, a, s in rows:
         lvl = n - 1
         rates = (float(der.E[lvl]), mp.c[lvl], mp.K[lvl], mp.e[lvl])
         line = (f"{n:5d}   {a:9.4f}  {s:.4f}                 "
@@ -48,8 +50,7 @@ def run(name, family, depth, seed):
             line += f"  {gap[j]:.2e}         {mc.se[j]:.2e}"
         print(line)
     OUT.mkdir(parents=True, exist_ok=True)
-    cli.write_csv(OUT / f"{name}.csv", "level,A_n,sup_distance",
-                  orbit.csv_rows())
+    cli.write_csv(OUT / f"{name}.csv", "level,A_n,sup_distance", rows)
     return orbit
 
 

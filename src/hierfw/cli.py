@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------------------
 
 _MODEL_KEYS = {"N", "levels", "family", "c", "e", "K", "g", "d"}
-_INIT_KEYS = {"theta_x", "theta_y", "law", "concentration", "theta_limit"}
+_INIT_KEYS = {f.name for f in fields(params.InitSpec)}
 _DUAL_KEYS = {"actives", "dormants"}
 _TOP_KEYS = {"model", "init", "run", "dual", "seed", "out"}
 
@@ -158,7 +158,8 @@ def _build_g(spec) -> DiffusionFn:
     kind = spec.get("kind", "fisher_wright")
     if kind == "fisher_wright":
         _check_keys(spec, {"kind", "d"}, "model.g")
-        return fisher_wright(_number(spec.get("d", 1.0)))
+        return fisher_wright(**{key: _number(spec[key])
+                                for key in spec.keys() - {"kind"}})
     if kind == "grid":
         _check_keys(spec, {"kind", "nodes", "values"}, "model.g")
         return DiffusionFn.from_g(_floats(spec["nodes"]),
@@ -166,21 +167,30 @@ def _build_g(spec) -> DiffusionFn:
     raise ConfigError(f"unknown diffusion kind {kind!r}")
 
 
+_FAMILIES = {"exponential": params.ExponentialFamily,
+             "polynomial": params.PolynomialFamily}
+
+
 def _build_family(spec):
+    """The family the block names, from the fields it gives."""
     spec = _mapping(spec, "model.family")
-    kind = spec.get("kind")
-    if kind == "exponential":
-        _check_keys(spec, {"kind", "K", "e", "c"}, "model.family")
-        return params.ExponentialFamily(
-            K=_number(spec["K"]), e=_number(spec["e"]), c=_number(spec["c"]))
-    if kind == "polynomial":
-        _check_keys(spec, {"kind", "alpha", "beta", "phi", "A", "B", "F"},
-                    "model.family")
-        return params.PolynomialFamily(
-            alpha=_number(spec["alpha"]), beta=_number(spec["beta"]),
-            phi=_number(spec["phi"]), A=_number(spec.get("A", 1.0)),
-            B=_number(spec.get("B", 1.0)), F=_number(spec.get("F", 1.0)))
-    raise ConfigError(f"unknown family kind {kind!r}")
+    family = _FAMILIES.get(spec.get("kind"))
+    if family is None:
+        raise ConfigError(f"unknown family kind {spec.get('kind')!r}")
+    _check_keys(spec, {f.name for f in fields(family)} | {"kind"},
+                "model.family")
+    return family(**{key: _number(spec[key]) for key in spec.keys() - {"kind"}})
+
+
+def _build_init(spec: dict) -> params.InitSpec:
+    """InitSpec from the keys the block gives; theta_y defaults to
+    [theta_x], and a single number reads as a one-entry list."""
+    values = {key: value if key == "law" else _number(value)
+              for key, value in spec.items() if key != "theta_y"}
+    theta_y = spec.get("theta_y", [spec["theta_x"]])
+    values["theta_y"] = tuple(
+        _floats(theta_y if isinstance(theta_y, list) else [theta_y]))
+    return params.InitSpec(**values)
 
 
 def build_model(cfg: dict) -> params.ModelParams:
@@ -191,19 +201,7 @@ def build_model(cfg: dict) -> params.ModelParams:
     m, init_cfg = cfg["model"], cfg.get("init")
     block = "init"                      # the block an error is reported in
     try:
-        init = None
-        if init_cfg:
-            theta_y = init_cfg.get("theta_y", [init_cfg["theta_x"]])
-            if not isinstance(theta_y, (list, tuple)):
-                theta_y = [theta_y]
-            init = params.InitSpec(
-                theta_x=_number(init_cfg["theta_x"]),
-                theta_y=tuple(_number(t) for t in theta_y),
-                law=init_cfg.get("law", "deterministic"),
-                concentration=_number(init_cfg.get("concentration", 2.0)),
-                theta_limit=None if init_cfg.get("theta_limit") is None
-                else _read(_number, init_cfg["theta_limit"], "init.theta_limit"),
-            )
+        init = _build_init(init_cfg) if init_cfg else None
         block = "model"
         g = _build_g(m.get("g"))
         if m.get("d") is not None and _number(m["d"]) != g.d:
@@ -214,6 +212,10 @@ def build_model(cfg: dict) -> params.ModelParams:
         common = dict(N=_integer(m["N"]), levels=_integer(m["levels"]), g=g,
                       init=init)
         if "family" in m:
+            prefixes = sorted(m.keys() & {"c", "e", "K"})
+            if prefixes:
+                raise ConfigError(f"model.family excludes the prefixes c, e "
+                                  f"and K, found {prefixes}")
             fam = _build_family(m["family"])
             mp = params.ModelParams.from_family(family=fam, **common)
         else:
@@ -224,10 +226,6 @@ def build_model(cfg: dict) -> params.ModelParams:
         raise ConfigError(f"missing config key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {block} block: {exc}") from exc
-    if init is not None and len(init.theta_y) > mp.levels + 1:
-        raise ConfigError(f"invalid init block: init.theta_y lists "
-                          f"{len(init.theta_y)} colours, the model has "
-                          f"{mp.levels + 1}")
     return mp
 
 
@@ -341,7 +339,10 @@ def cmd_classify(job: Job) -> tuple:
     report = asdict(params.classify(mp))
     derived = params.derive(mp)
     coeffs = params.compute_A(mp, derived, mp.levels + 1)
-    rows = params.coefficient_rows(coeffs, range(mp.levels + 2))
+    predict = coeffs.asymptotic.asymptote
+    rows = [(n, float(coeffs.A[n]),
+             predict(n) if predict is not None and n >= 2 else "")
+            for n in range(mp.levels + 2)]
     spec = mp.kernel_spec()
     expansion = hiergeo.build_expansion(spec)
     files = [
@@ -350,7 +351,8 @@ def cmd_classify(job: Job) -> tuple:
         write_csv(out / "coefficients.csv", "n,A_n,predicted_asymptote", rows,
                   comments=[f"asymptotic_class = {coeffs.asymptotic.label}"]),
         write_csv(out / "kernel.csv", "level,c_k,r_k,h_k",
-                  hiergeo.kernel_table_rows(spec, expansion)),
+                  [(k, spec.c[k], float(expansion.r[k]), float(expansion.h[k]))
+                   for k in range(spec.truncation)]),
     ]
     return {"clustering": report["clustering"], "gamma": report["gamma"]}, files
 
@@ -369,12 +371,26 @@ def cmd_simulate_forward(job: Job) -> tuple:
                               snapshots=run.get("snapshots", False))
     rec = forward.simulate(mp, mp.init, horizon, plan, seed=job.seed,
                            dt=run.get("dt"))
-    files = [write_csv(out / "trajectory.csv", "t,level,component,value",
-                       rec.csv_rows())]
+    # one row per time, level and component; the x and y<m> rows are the
+    # block averages, which are the component means theta_x and theta_y<m>
+    ys = [f"y{m}" for m in range(mp.levels + 1)]
+    names = ["x", *ys, "theta_bar", "theta_x", *(f"theta_{y}" for y in ys)]
+    x, bar = rec.theta_x[..., None], rec.theta_bar[..., None]
+    values = np.concatenate([x, rec.theta_y, bar, x, rec.theta_y], axis=-1)
+    files = [write_csv(out / "trajectory.csv", "t,level,component,value", [
+        (t, level, name, value) for t, block in zip(rec.times, values)
+        for level, row in zip(rec.levels.tolist(), block)
+        for name, value in zip(names, row)])]
     if plan.snapshots:
-        header = "t,address,x," + ",".join(f"y{m}" for m in range(mp.levels + 1))
-        files.append(write_csv(out / "snapshots.csv", header,
-                               rec.snapshot_rows(mp.N)))
+        # addresses are base-N digit strings, least-significant digit first
+        digits = (np.arange(mp.n_colonies)[:, None]
+                  // mp.N ** np.arange(mp.levels + 1) % mp.N)
+        addresses = ["".join(map(str, row)) for row in digits.tolist()]
+        files.append(write_csv(out / "snapshots.csv", ",".join(
+            ["t", "address", "x", *ys]), [
+            (t, address, rec.snapshots_x[i, c], *rec.snapshots_y[i, :, c])
+            for i, t in enumerate(rec.times)
+            for c, address in enumerate(addresses)]))
     summary = {
         "horizon": horizon, "clip_fraction": rec.clip_fraction,
         "flagged": rec.flagged,
@@ -460,7 +476,8 @@ def cmd_renorm_orbit(job: Job) -> tuple:
     orbit = renorm.iterate_F_scaled(mp.g, mp, derived, coeffs, depth,
                                     _theta_grid(run))
     files = [write_csv(out / "orbit.csv", "level,A_n,sup_distance",
-                       orbit.csv_rows())]
+                       zip(orbit.levels.tolist(), orbit.A.tolist(),
+                           orbit.sup_distance.tolist()))]
     for i, level in enumerate(orbit.levels):
         rows = list(zip(orbit.theta_grid, orbit.grids[i](orbit.theta_grid)))
         files.append(write_csv(out / f"fgrid_level{int(level)}.csv",

@@ -306,32 +306,37 @@ def exact_dual_moment(Q: np.ndarray, start: int, H: np.ndarray,
     return float(_generator_exp(Q, t, H)[start])
 
 
-def _next_states(cum_rows: np.ndarray, u: np.ndarray,
-                 last: np.ndarray) -> np.ndarray:
-    """Next state per row, by inverse CDF of cumulative jump probabilities.
-
-    ``last`` holds each row's last positive-probability column; the pick is
-    clamped to it, so a row whose cumulative sum rounds below ``u`` cannot
-    select a column past the end.
-    """
-    return np.minimum((cum_rows < u[:, None]).sum(axis=1), last)
+def _jump_table(Q: np.ndarray) -> tuple:
+    """(cum, to): each state's cumulative jump probabilities and target
+    states, over its out-edges in column order, padded to the largest
+    out-degree.  Each row's last out-edge and the padding hold +inf, so an
+    inverse-CDF pick ``(cum[s] < u).sum()`` lands on an out-edge even where
+    the cumulative sum rounds below u."""
+    rows, cols = np.nonzero(Q)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    degree = np.bincount(rows, minlength=len(Q))
+    slot = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]
+    cum = np.zeros((len(Q), max(degree.max(initial=0), 1)))
+    to = np.zeros(cum.shape, dtype=np.intp)
+    cum[rows, slot] = Q[rows, cols] / -Q.diagonal()[rows]
+    to[rows, slot] = cols
+    np.cumsum(cum, axis=1, out=cum)
+    cum[np.arange(cum.shape[1]) >= degree[:, None] - 1] = np.inf
+    return cum, to
 
 
 def _sample_dual_H(Q: np.ndarray, start: int, H: np.ndarray, t: float,
                    n_replicas: int, seed: int) -> tuple:
     """Monte Carlo of E[H(z, L(t))], vectorised over replicas: an exact-law
     sampler of the jump chain of the count chain (Q, start, H) that the exact
-    moment also uses.  Its cumulative jump table is its one copy of Q."""
+    moment also uses, through the compact ``_jump_table`` of Q."""
     if n_replicas < 1:
         raise ValueError("n_replicas must be at least 1")
     if t < 0:
         raise ValueError("t must be non-negative")
     out_rate = -Q.diagonal()
-    cumP = Q.copy()
-    np.fill_diagonal(cumP, 0.0)
-    cumP /= np.where(out_rate > 0, out_rate, 1.0)[:, None]
-    last = len(cumP) - 1 - np.argmax(cumP[:, ::-1] > 0, axis=1)
-    np.cumsum(cumP, axis=1, out=cumP)
+    cum, to = _jump_table(Q)
     total = 0.0
     total_sq = 0.0
     for chunk, width in rngmod.replica_chunks(n_replicas):
@@ -350,7 +355,7 @@ def _sample_dual_H(Q: np.ndarray, start: int, H: np.ndarray, t: float,
                                       np.inf)
             jump = movable & (t_next < t)
             src = s_idx[jump]
-            s_idx[jump] = _next_states(cumP[src], u[jump], last[src])
+            s_idx[jump] = to[src, (cum[src] < u[jump, None]).sum(axis=1)]
             t_now[jump] = t_next[jump]
             alive = jump
         vals = H[s_idx[:width]]

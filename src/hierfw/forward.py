@@ -328,39 +328,6 @@ class TrajectoryRecord:
     snapshots_x: Optional[np.ndarray] = None   # (T, C)
     snapshots_y: Optional[np.ndarray] = None   # (T, M, C)
 
-    def csv_rows(self):
-        """Rows (t, level, component, value) for the trajectory export.
-
-        The x and y<m> rows are the block averages, which are the component
-        means theta_x and theta_y of the estimators.
-        """
-        rows = []
-        M = self.theta_y.shape[-1]
-        for i, t in enumerate(self.times):
-            for j, l in enumerate(self.levels):
-                rows.append((t, int(l), "x", self.theta_x[i, j]))
-                for m in range(M):
-                    rows.append((t, int(l), f"y{m}", self.theta_y[i, j, m]))
-                rows.append((t, int(l), "theta_bar", self.theta_bar[i, j]))
-                rows.append((t, int(l), "theta_x", self.theta_x[i, j]))
-                for m in range(M):
-                    rows.append((t, int(l), f"theta_y{m}", self.theta_y[i, j, m]))
-        return rows
-
-    def snapshot_rows(self, N: int):
-        if self.snapshots_x is None:
-            raise ValueError("run was recorded without snapshots")
-        C = self.snapshots_x.shape[1]
-        trunc = int(round(math.log(C, N)))
-        digits = np.arange(C)[:, None] // N ** np.arange(trunc) % N
-        addrs = ["".join(map(str, row)) for row in digits.tolist()]
-        rows = []
-        for i, t in enumerate(self.times):
-            for cidx, addr in enumerate(addrs):
-                rows.append((t, addr, self.snapshots_x[i, cidx],
-                             *self.snapshots_y[i, :, cidx]))
-        return rows
-
 
 def simulate(params: ModelParams, init: InitSpec, horizon: float,
              plan: RecordPlan, seed: int,

@@ -187,10 +187,3 @@ def log_return_probability(log_t: np.ndarray,
     terms = np.log(N - 1) - ht - j[None, :] * np.log(N)
     return logsumexp(terms, axis=1)
 
-
-def kernel_table_rows(spec: KernelSpec, exp_: KernelExpansion):
-    """Rows (level, c_k, r_k, h_k) for CSV export."""
-    rows = []
-    for k in range(spec.truncation):
-        rows.append((k, spec.c[k], float(exp_.r[k]), float(exp_.h[k])))
-    return rows

@@ -110,16 +110,14 @@ Family = ExponentialFamily | PolynomialFamily
 class InitSpec:
     """Initial law of a colony: component means plus an i.i.d. law shape.
 
-    theta_y may be shorter than the number of colours; missing entries repeat
-    the declared colour-regular limit ``theta_limit`` (defaults to the last
-    given value).
+    theta_y may be shorter than the number of colours; missing entries
+    repeat its last one.
     """
 
     theta_x: float
     theta_y: tuple
     law: str = "deterministic"  # deterministic | beta | two-point
     concentration: float = 2.0  # beta law: a = theta * conc, b = (1-theta) * conc
-    theta_limit: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 <= self.theta_x <= 1.0:
@@ -130,21 +128,23 @@ class InitSpec:
             raise ValueError("theta_y entries must lie in [0,1]")
         if self.law not in ("deterministic", "beta", "two-point"):
             raise ValueError(f"unknown initial law {self.law!r}")
-        if self.theta_limit is None:
-            object.__setattr__(self, "theta_limit", self.theta_y[-1])
-        elif not 0.0 <= self.theta_limit <= 1.0:
-            raise ValueError("theta_limit must lie in [0,1]")
+        if not self.concentration > 0.0:
+            raise ValueError(f"concentration must be positive, found "
+                             f"{self.concentration}")
 
     def theta_y_full(self, n_colours: int) -> np.ndarray:
-        out = np.full(n_colours, self.theta_limit, dtype=float)
-        upto = min(len(self.theta_y), n_colours)
-        out[:upto] = self.theta_y[:upto]
+        """theta_y over n_colours colours; more entries raise ValueError."""
+        if len(self.theta_y) > n_colours:
+            raise ValueError(f"init.theta_y lists {len(self.theta_y)} colours, "
+                             f"the model has {n_colours}")
+        out = np.full(n_colours, self.theta_y[-1], dtype=float)
+        out[:len(self.theta_y)] = self.theta_y
         return out
 
     @classmethod
     def constant(cls, theta: float) -> "InitSpec":
         """Every component starts at theta."""
-        return cls(theta, (theta,), theta_limit=theta)
+        return cls(theta, (theta,))
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,8 @@ class ModelParams:
                 raise ValueError(
                     f"K_{m} e_{m} = {Km * em} violates the exchange growth condition"
                 )
+        if self.init is not None:       # at most one theta_y per colour
+            self.init.theta_y_full(n)
 
     @classmethod
     def from_family(cls, N: int, levels: int, family: Family, g: DiffusionFn,
@@ -422,17 +424,6 @@ def compute_A(params: ModelParams, derived: DerivedParams,
     A = np.concatenate([[0.0], np.cumsum(terms)])
     asym = _dichotomy_class(params.family, derived.rho, derived.rho_infinite, c)
     return ClusteringCoefficients(terms=terms, A=A, asymptotic=asym)
-
-
-def coefficient_rows(coeffs: ClusteringCoefficients, n_values) -> list:
-    """(n, A_n, predicted_asymptote) rows for CSV export."""
-    rows = []
-    for n in n_values:
-        pred = ""
-        if coeffs.asymptotic.asymptote is not None and n >= 2:
-            pred = coeffs.asymptotic.asymptote(n)
-        rows.append((int(n), float(coeffs.A[int(n)]), pred))
-    return rows
 
 
 # ----------------------------------------------------------------------

@@ -322,10 +322,6 @@ class OrbitReport:
     sup_distance: np.ndarray      # sup-node |A_n F^(n) g - g_FW|
     grids: list                   # F^(n) g as DiffusionFn per level
 
-    def csv_rows(self):
-        return [(int(n), float(a), float(s))
-                for n, a, s in zip(self.levels, self.A, self.sup_distance)]
-
 
 def iterate_F_scaled(g: DiffusionFn, params: ModelParams,
                      derived: DerivedParams, coefficients: ClusteringCoefficients,

@@ -4,11 +4,23 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from hierfw import cli
 from hierfw.params import derive
 
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running statistical checks")
+
+
+def cli_csv(tmp_path, command: str, config: str, name: str) -> list:
+    """The lines of output ``name`` of ``hierfw command`` run on the YAML
+    text ``config``, less comments and split at commas; the header first."""
+    path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+    path.write_text(config)
+    assert cli.main([command, "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+    return [line.split(",") for line in (out / name).read_text().splitlines()
+            if not line.startswith("#")]
 
 
 def estimator_arrays(x: np.ndarray, y: np.ndarray, K: np.ndarray,

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import platform
+import re
 import string
 import subprocess
 import sys
@@ -296,7 +297,8 @@ _STEEP_G = TWO_COLONY_CFG.replace(
     "g: {kind: grid, nodes: [0, 0.5, 1], values: [0, 1e300, 0]}").replace(
     _RUN, "horizon: 1.0")
 
-# two colours, whose undeclared colour 1 would start at theta_limit = 5
+# two colours and a theta_limit, which is no key: a colour theta_y does not
+# list starts at its last entry
 _HEAD = TWO_COLONY_CFG[:TWO_COLONY_CFG.index("  law:")]
 THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
                     .replace("[1.0]", "[1.0, 1.0]") + "  theta_limit: 5\n")
@@ -335,10 +337,11 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("classify", ("theta_y: [0.4]", "theta_y: []"), "theta_y needs"),
     ("classify", ("g:\n    kind: fisher_wright\n    d: 1.0\n  d: 1.0",
                   "g: {kind: grid, nodes: [], values: []}"), "two nodes"),
-    ("simulate-forward", THETA_LIMIT_EDIT, "theta_limit"),
+    ("simulate-forward", THETA_LIMIT_EDIT,
+     "unknown keys in init: ['theta_limit']"),
     ("simulate-forward", ("law: deterministic",
                           "law: deterministic\n  theta_limit: abc"),
-     "invalid init block"),
+     "unknown keys in init: ['theta_limit']"),
     # numbers are read strictly: integral where counted, finite everywhere
     ("simulate-dual", ("dt: 0.005", "horizon: .inf"), "run.horizon"),
     ("simulate-dual", ("dt: 0.005", "horizon: .nan"), "run.horizon"),
@@ -443,7 +446,17 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
      "run.times must name at least one record time"),
     # a colour the model does not have would be dropped silently
     ("simulate-forward", ("theta_y: [0.4]", "theta_y: [0.1, 0.9, 0.9]"),
-     "invalid init block: init.theta_y lists 3 colours, the model has 1"),
+     "invalid model block: init.theta_y lists 3 colours, the model has 1"),
+    # a family would drop explicit prefixes silently
+    ("classify", ("c: [1.0]\n  e: [1.0]\n  K: [1.0]",
+                  "family: {kind: exponential, K: 1.0, e: 1.0, c: 0.5}\n"
+                  "  c: [1.5]"),
+     "invalid model block: model.family excludes the prefixes c, e and K, "
+     "found ['c']"),
+    # a Beta law needs positive parameters
+    ("simulate-forward", ("law: deterministic",
+                          "law: beta\n  concentration: -3.0"),
+     "invalid init block: concentration must be positive, found -3.0"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))
@@ -453,6 +466,22 @@ def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (out / "manifest.json").exists()
+
+
+def test_readme_config_grammar(tmp_path):
+    # the README's config block is a config that builds, and it names every
+    # key the CLI accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg, _ = cli.load_config(write_cfg(tmp_path, block))
+    mp = cli.build_model(cfg)
+    for key, value in cfg["run"].items():
+        cli._read(cli._RUN_TYPES[key], value, key)
+    cli._lineages(cfg["dual"], mp)
+    for keys in (cli._TOP_KEYS, cli._MODEL_KEYS, cli._INIT_KEYS,
+                 cli._RUN_TYPES, cli._DUAL_KEYS):
+        for key in keys:
+            assert re.search(rf"(?<![\w.]){key}:", block), key
 
 
 def test_merged_keys_yield_to_the_mappings_own(tmp_path):

@@ -14,7 +14,7 @@ from hierfw import forward as F
 from hierfw import hiergeo
 from hierfw import params as P
 from hierfw.diffusion import fisher_wright, grid_from_callable
-from hierfw.rng import stream
+from hierfw.rng import CHUNK, replica_chunks, stream
 
 from conftest import renewal_sample, tail_fit
 
@@ -332,9 +332,9 @@ def test_duality_estimate_builds_one_count_chain(monkeypatch):
 
 
 def test_duality_estimate_memory_peak_on_large_count_chain():
-    # on the 1,224-state chain, Q, the sampler's one jump table and its
-    # per-step row gathers peak at ~3.0 Q.nbytes; each further dense copy
-    # of Q alive at once would add 1.0
+    # on the 1,224-state chain, Q and the sampler's compact jump table peak
+    # at ~1.2 Q.nbytes; each further dense copy of Q alive at once would add
+    # 1.0
     mp, z = _large_chain_model()
     tracemalloc.start()
     try:
@@ -343,7 +343,7 @@ def test_duality_estimate_memory_peak_on_large_count_chain():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 1224 ** 2 * 8
+    assert peak < 2.0 * 1224 ** 2 * 8
 
 
 def test_sample_dual_h_checks_arguments():
@@ -376,19 +376,27 @@ def test_duality_two_colony_full():
 
 
 def test_next_state_pick_clamped_to_last_positive_column():
-    # column 2 has zero probability; u is the largest double rng.random() gives
-    u = np.array([np.nextafter(1.0, 0.0)] * 3)
-    cum = np.array([
-        [0.5, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53],   # sums to 1 - 2^-53
-        [0.5, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -52],   # rounds further below u
-        [0.5, 1.0, 1.0],
-    ])
-    last = np.array([1, 1, 1])
-    assert (cum[1] < u[1]).sum() == 3          # unclamped: past the last state
-    assert D._next_states(cum, u, last).tolist() == [1, 1, 1]
+    # state 0 jumps at rates 0.1, 0.3, 0.2 to states 1, 3, 4, never to 2;
+    # its jump probabilities sum to 1 - 2^-52, below u, the largest double
+    # rng.random() gives
+    u = np.nextafter(1.0, 0.0)
+    Q = np.zeros((5, 5))
+    Q[0, [1, 3, 4]] = [0.1, 0.3, 0.2]
+    Q[1, 0] = 1.0
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    assert np.cumsum(Q[0, [1, 3, 4]] / -Q[0, 0])[-1] < u   # unclamped: past
+    cum, to = D._jump_table(Q)
+
+    def pick(state, u):
+        return to[state, (cum[state] < u).sum()]
+
+    assert to[0].tolist() == [1, 3, 4]
+    assert pick(0, u) == 4
     # where no clamp is needed the pick is the plain inverse CDF
-    u = np.array([0.25, 0.5, 0.75])
-    assert D._next_states(cum, u, last).tolist() == [0, 0, 1]
+    assert [pick(0, v) for v in (0.1, 0.5, 0.9)] == [1, 3, 4]
+    # a row's last out-edge and its padding hold +inf
+    assert np.isinf(cum[1]).all() and pick(1, u) == 0
+    assert np.isinf(cum[2]).all()
 
 
 def test_dual_generator_rows_sum_zero():
@@ -511,6 +519,78 @@ def test_duality_function_forward_block_equals_reference_bitwise():
     for counts in D.enumerate_count_states(mp, 2)[::97]:
         assert np.array_equal(D.duality_function(F.SystemState(x, y), counts),
                               _reference_forward_H(x, y, counts))
+
+
+# the dual Monte Carlo of hierfw 0.5.5 before its compact jump table: a
+# dense S x S table of cumulative jump probabilities, and a pick over whole
+# rows clamped to each row's last positive column.  Kept as the reference
+# for the compact table, which must give the same (mean, se) bit for bit.
+
+
+def _reference_sample_dual_H(Q, start, H, t, n_replicas, seed):
+    out_rate = -Q.diagonal()
+    cumP = Q.copy()
+    np.fill_diagonal(cumP, 0.0)
+    cumP /= np.where(out_rate > 0, out_rate, 1.0)[:, None]
+    last = len(cumP) - 1 - np.argmax(cumP[:, ::-1] > 0, axis=1)
+    np.cumsum(cumP, axis=1, out=cumP)
+    total = total_sq = 0.0
+    for chunk, width in replica_chunks(n_replicas):
+        rng = stream(seed, "dual-H", chunk)
+        s_idx = np.full(CHUNK, start)
+        t_now = np.zeros(CHUNK)
+        alive = np.ones(CHUNK, dtype=bool)
+        while np.any(alive):
+            rates = out_rate[s_idx]
+            movable = alive & (rates > 0)
+            if not np.any(movable):
+                break
+            dt_draw = rng.exponential(1.0, size=CHUNK)
+            u = rng.random(CHUNK)
+            t_next = t_now + np.where(
+                movable, dt_draw / np.maximum(rates, 1e-300), np.inf)
+            jump = movable & (t_next < t)
+            src = s_idx[jump]
+            s_idx[jump] = np.minimum(
+                (cumP[src] < u[jump, None]).sum(axis=1), last[src])
+            t_now[jump] = t_next[jump]
+            alive = jump
+        vals = H[s_idx[:width]]
+        total += vals.sum()
+        total_sq += (vals ** 2).sum()
+    mean, se = F._mean_se(total, total_sq, n_replicas)
+    return float(mean), float(se)
+
+
+def _three_chains():
+    yield two_colony(), z_state()
+    yield _large_chain_model()
+    rng = stream(3, "deep-z")
+    yield _DEEP, F.SystemState(rng.random(16), rng.random((4, 16)))
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_sample_dual_h_equals_dense_reference(t):
+    for (mp, z), size in zip(_three_chains(), (14, 1224, 3320)):
+        Q, start, H = D._count_chain(mp, z, D.DualConfig.actives(mp, {0: 2}))
+        assert len(Q) == size
+        assert D._sample_dual_H(Q, start, H, t, 4000, 11) == \
+            _reference_sample_dual_H(Q, start, H, t, 4000, 11)
+
+
+def test_sample_dual_h_memory_peak():
+    # the dense reference peaks at ~1.9 Q.nbytes on this chain: its
+    # cumulative table and its per-step row gathers; the compact table
+    # holds one row per state of the largest out-degree
+    mp, z = _large_chain_model()
+    chain = D._count_chain(mp, z, D.DualConfig.actives(mp, {0: 2}))
+    tracemalloc.start()
+    try:
+        D._sample_dual_H(*chain, 1.0, 4000, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * chain[0].nbytes
 
 
 def test_count_state_enumeration_size():

@@ -13,7 +13,7 @@ from hierfw import params as P
 from hierfw.diffusion import fisher_wright
 from hierfw.rng import CHUNK, replica_chunks, stream
 
-from conftest import estimator_arrays
+from conftest import cli_csv, estimator_arrays
 
 FW = fisher_wright(1.0)
 
@@ -351,22 +351,38 @@ def test_simulate_records_match_direct_means(monkeypatch, N, levels, tile,
         assert not np.array_equal(rec.theta_y[1], rec.theta_y[2])
 
 
-def test_trajectory_csv_rows():
-    mp = two_colony()
-    rec = F.simulate(mp, P.InitSpec.constant(0.5), 0.2,
+def test_trajectory_csv_rows(tmp_path):
+    # simulate-forward's trajectory.csv: per record time and level, the
+    # block averages x, y0, then theta_bar, theta_x and theta_y0
+    rows = cli_csv(tmp_path, "simulate-forward", """\
+model: {N: 2, levels: 0, c: [1.0], e: [1.0], K: [1.0]}
+init: {theta_x: 0.5, theta_y: [0.5]}
+run: {horizon: 0.2, times: [0.0, 0.2]}
+seed: 1
+""", "trajectory.csv")
+    rec = F.simulate(two_colony(), P.InitSpec.constant(0.5), 0.2,
                      F.RecordPlan(times=(0.0, 0.2)), seed=1)
-    rows = rec.csv_rows()
-    assert rows[0][2] == "x"
-    comps = {r[2] for r in rows}
-    assert {"x", "y0", "theta_bar", "theta_x", "theta_y0"} <= comps
+    assert rows[0] == ["t", "level", "component", "value"]
+    assert len(rows) == 1 + 2 * 2 * 5          # 2 times x levels 0, 1
+    assert [r[2] for r in rows[1:6]] == ["x", "y0", "theta_bar", "theta_x",
+                                         "theta_y0"]
+    last = rows[-5:]
+    assert last[0][:2] == [repr(float(rec.times[-1])), "1"]
+    assert [float(r[3]) for r in last] == [
+        rec.theta_x[-1, 1], rec.theta_y[-1, 1, 0], rec.theta_bar[-1, 1],
+        rec.theta_x[-1, 1], rec.theta_y[-1, 1, 0]]
 
 
-def test_snapshot_rows_addresses():
-    mp = small_params(N=3, levels=0, c=(1.0,))
-    rec = F.simulate(mp, P.InitSpec.constant(0.5), 0.1,
-                     F.RecordPlan(times=(0.1,), snapshots=True), seed=1)
-    rows = rec.snapshot_rows(3)
-    assert [r[1] for r in rows] == ["0", "1", "2"]
+def test_snapshot_rows_addresses(tmp_path):
+    # colony addresses are base-N digit strings, least-significant first
+    rows = cli_csv(tmp_path, "simulate-forward", """\
+model: {N: 3, levels: 1, c: [1.0, 1.0], e: [1.0, 1.0], K: [1.0, 1.0]}
+init: {theta_x: 0.5, theta_y: [0.5]}
+run: {horizon: 0.1, times: [0.1], snapshots: true}
+""", "snapshots.csv")
+    assert rows[0] == ["t", "address", "x", "y0", "y1"]
+    assert [r[1] for r in rows[1:]] == [
+        "00", "10", "20", "01", "11", "21", "02", "12", "22"]
 
 
 def test_grand_mean_zero_drift_in_ensemble():

@@ -25,6 +25,8 @@ from hierfw.hiergeo import (
 )
 from hierfw.rng import stream
 
+from conftest import cli_csv
+
 
 # ----------------------------------------------------------------------
 # pairwise reference
@@ -379,12 +381,20 @@ def test_return_probability_matches_migration_generator(N, L, c):
         log_return_probability(np.log([100.0]), exp_)
 
 
-def test_kernel_table_rows():
-    spec = KernelSpec(N=2, c=(1.0, 0.5))
-    exp_ = build_expansion(spec)
-    rows = hiergeo.kernel_table_rows(spec, exp_)
-    assert rows[0][0] == 0 and rows[0][1] == 1.0
-    assert len(rows) == 2
+def test_kernel_table_rows(tmp_path):
+    # classify's kernel.csv: (level, c_k, r_k, h_k) per level of the kernel
+    rows = cli_csv(tmp_path, "classify", """\
+model:
+  N: 2
+  levels: 1
+  c: [1.0, 0.5]
+  e: [1.0, 1.0]
+  K: [1.0, 1.0]
+""", "kernel.csv")
+    exp_ = build_expansion(KernelSpec(N=2, c=(1.0, 0.5)))
+    assert rows == [["level", "c_k", "r_k", "h_k"]] + [
+        [str(k), repr(c), repr(float(exp_.r[k])), repr(float(exp_.h[k]))]
+        for k, c in enumerate((1.0, 0.5))]
 
 
 def test_degree_estimate_matches_closed_form():

@@ -11,7 +11,7 @@ from hierfw import params as P
 from hierfw.diffusion import fisher_wright, grid_from_callable
 from hierfw.rng import stream
 
-from conftest import wakeup_sampler
+from conftest import cli_csv, wakeup_sampler
 
 FW = fisher_wright(1.0)
 
@@ -58,13 +58,13 @@ def test_E_identity_and_monotone(K_seq):
 
 
 def test_theta_seq_symmetric_init():
-    init = P.InitSpec(theta_x=0.3, theta_y=(0.3,), theta_limit=0.3)
+    init = P.InitSpec(theta_x=0.3, theta_y=(0.3,))
     d = P.derive(exp_params(2, 1, 0.25, init=init))
     assert np.allclose(d.theta_seq, 0.3, atol=1e-15)
 
 
 def test_theta_seq_formula():
-    init = P.InitSpec(theta_x=0.9, theta_y=(0.1, 0.5), theta_limit=0.5)
+    init = P.InitSpec(theta_x=0.9, theta_y=(0.1, 0.5))
     mp = exp_params(2, 1, 0.25, levels=3, init=init)
     d = P.derive(mp)
     K = np.asarray(mp.K)
@@ -72,6 +72,17 @@ def test_theta_seq_formula():
     for k in range(4):
         expect = (0.9 + np.sum(K[:k + 1] * th_y[:k + 1])) / (1 + np.sum(K[:k + 1]))
         assert d.theta_seq[k] == pytest.approx(expect, rel=1e-14)
+
+
+def test_init_refused_by_the_library():
+    # the rules the CLI's init block obeys, enforced where the start is built
+    with pytest.raises(ValueError, match="theta_y lists 3 colours, the "
+                                         "model has 1"):
+        P.ModelParams(N=2, levels=0, c=(1.0,), e=(1.0,), K=(1.0,), g=FW,
+                      init=P.InitSpec(0.5, (0.1, 0.9, 0.9)))
+    for concentration in (0.0, -3.0, math.nan):
+        with pytest.raises(ValueError, match="concentration must be positive"):
+            P.InitSpec(0.5, (0.5,), law="beta", concentration=concentration)
 
 
 def test_rho_chi():
@@ -260,12 +271,23 @@ def test_n_max_beyond_prefix_rejected():
         P.compute_A(mp, P.derive(mp), 7)
 
 
-def test_coefficient_rows():
-    mp = exp_params(2, 1, 0.25)
+def test_coefficient_rows(tmp_path):
+    # classify's coefficients.csv: A_n for n = 0 .. levels + 1, with the
+    # family's asymptote from n = 2 on
+    rows = cli_csv(tmp_path, "classify", """\
+model:
+  N: 8
+  levels: 7
+  family: {kind: exponential, K: 2.0, e: 1.0, c: 0.25}
+""", "coefficients.csv")
+    mp = exp_params(2, 1, 0.25, levels=7)
     co = P.compute_A(mp, P.derive(mp), 8)
-    rows = P.coefficient_rows(co, range(9))
-    assert rows[0][:2] == (0, 0.0)
-    assert rows[3][1] == pytest.approx(co.A[3])
+    assert rows[0] == ["n", "A_n", "predicted_asymptote"]
+    assert [int(r[0]) for r in rows[1:]] == list(range(9))
+    assert [float(r[1]) for r in rows[1:]] == co.A.tolist()
+    assert rows[1][2] == rows[2][2] == ""
+    assert [float(r[2]) for r in rows[3:]] == \
+        [co.asymptotic.asymptote(n) for n in range(2, 9)]
 
 
 # ----------------------------------------------------------------------
