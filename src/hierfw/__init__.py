@@ -2,4 +2,4 @@
 diffusions with layered seed-banks: forward simulation, dual coalescent,
 clustering analysis and the renormalisation orbit."""
 
-__version__ = "0.5.5"
+__version__ = "0.6.0"

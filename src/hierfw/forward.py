@@ -5,9 +5,16 @@ active component drifts toward its block averages (one term per hierarchical
 level), exchanges with each seed-bank colour, and diffuses with sqrt(g(x))
 noise; dormant components relax linearly toward the active one.
 
-Discretisation: Euler-Maruyama for migration and noise.  The exchange terms
-use matched increments  dy_m = (x - y_m) f_m,  dx += sum K_m (y_m - x) f_m
-with f_m = 1 - exp(-e_m N^-m dt), which integrates the dormant relaxation exactly over the step and conserves the
+Discretisation: the simplified weak Euler scheme (Kloeden & Platen,
+Numerical Solution of SDEs, 14.1): Euler-Maruyama drift for migration, and
+a noise increment sqrt(g(x) dt) xi with xi a fair +-1 sign in place of an
+N(0,1) draw.  It has weak order 1, like Euler-Maruyama, and since
+E xi = E xi^3 = 0 and E xi^2 = 1 a step without a clip gives every
+polynomial of degree <= 3 in the state the same expectation as the Gaussian
+step (for Fisher-Wright g); only the fourth moment of xi differs (1, not 3).
+The exchange terms use matched increments  dy_m = (x - y_m) f_m,
+dx += sum K_m (y_m - x) f_m  with f_m = 1 - exp(-e_m N^-m dt), which
+integrates the dormant relaxation exactly over the step and conserves the
 weighted population mean exactly in discrete time, removing the stiffness of
 fast colours.  x is clipped to [0,1] after each step; clip events are
 counted and a run whose clip frequency exceeds 1% is flagged.  y_m needs no
@@ -23,10 +30,11 @@ only the level-1 means read the colony array.  A step then visits the
 (W, C) replica-by-colony array in cache-sized tiles, in row-major order: a
 tile is a band of whole rows when a row is short, else a span of N^k d
 colonies of one row (d a divisor of N), so that every level block at least
-a span long is a whole number of tiles.  Each tile draws its normals just
-before it uses them, from the generator of each of its rows, and updates
-one dormant colour at a time, so neither a (W, C) normals array nor an
-(M, C) temporary is allocated.
+a span long is a whole number of tiles.  Each step draws the signs of all
+entries as packed raw generator bits (W C / 8 bytes), and each tile unpacks
+its own into a reused buffer just before it uses them and updates one
+dormant colour at a time, so neither a (W, C) noise array nor an (M, C)
+temporary is allocated.
 
 A trajectory record takes its block means from per-tile sums of x and y_m,
 which the step's tile pass adds up while a tile is in cache: levels at least
@@ -62,7 +70,7 @@ class SizeError(ValueError):
 
 # A step visits colonies in tiles of at most this many state entries per
 # array (rows of more than this many colonies are split into spans of whole
-# level blocks; see _tile_shape), so that a tile's x, y_m, normals and
+# level blocks; see _tile_shape), so that a tile's x, y_m, noise signs and
 # increments stay in cache for the step, and so do the sums a record takes.
 _TILE = 1 << 15
 # ensemble_reduce stacks as many replica chunks as keep a group's (x, y)
@@ -224,12 +232,15 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
     """Advance (x, y) in place by n_steps; returns the number of clip events.
 
     x has shape (W, C) and y (W, M, C).  The rows are split evenly among
-    ``rngs``: generator i draws the normals of the i-th share of rows, in
-    row-major order, at every step.  The tiles are those of
-    ``_tile_shape`` and visit x in row-major order, so a tile draws its
-    normals just before it uses them, part by part from the generator of
-    each share it covers, into one reused buffer of at most ``_TILE``
-    entries: no (W, C) normals array is allocated.
+    ``rngs``: at every step generator i draws the noise signs of the i-th
+    share of rows, in row-major order, as ceil(rows C / 64) words of
+    ``random_raw``, read as little-endian bytes whose bit k (low bit first)
+    is the sign of the share's k-th entry, 1 for +1 and 0 for -1.  The
+    tiles are those of ``_tile_shape`` and visit x in row-major order; a
+    tile unpacks its signs just before it uses them, part by part from the
+    bits of each share it covers, into one reused buffer of at most
+    ``_TILE`` entries: the step holds W C / 8 bytes of packed bits and no
+    (W, C) noise array.
 
     ``before`` and ``after``, when given, are (tiles, M + 1) arrays that
     receive each tile's sums of x and of each y_m: ``before`` of the state
@@ -240,6 +251,7 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
     N, dt, R1 = ctx.N, ctx.dt, ctx.drift_tails[0]
     coarse_levels = len(ctx.drift_tails) > 1     # else the coarse drift is 0
     rows = W // len(rngs)
+    words = -(-rows * C // 64)          # 64 signs per raw word, per share
     band, span = _tile_shape(W, C, N)
     noise = np.empty(band * span)
     tiles = [(top, lo) for top in range(0, W, band)
@@ -249,18 +261,25 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
         first = before if step == 0 else None
         last = after if step == n_steps - 1 else None
         m1, coarse = _drift_levels(x, N, ctx.drift_tails)
+        packed = [rng.bit_generator.random_raw(words)
+                  .astype("<u8", copy=False).view(np.uint8) for rng in rngs]
         for t, (top, lo) in enumerate(tiles):
             band_rows = slice(top, top + band)
             xt = x[band_rows, lo:lo + span]
             b = xt.shape[0]
             if first is not None:
                 first[t, 0] = np.add.reduce(xt, axis=None)
-            normals = noise[:xt.size].reshape(xt.shape)
+            signs = noise[:xt.size].reshape(xt.shape)
             # the tile's rows of each generator's share, in order
             for i in range(top // rows, (top + b - 1) // rows + 1):
-                part = slice(max(top, i * rows) - top,
-                             min(top + b, (i + 1) * rows) - top)
-                rngs[i].standard_normal(out=normals[part])
+                first_row = max(top, i * rows)
+                part = signs[first_row - top:min(top + b, (i + 1) * rows) - top]
+                start = (first_row - i * rows) * C + lo
+                skip = start % 8
+                bits = np.unpackbits(packed[i][start // 8:],
+                                     count=skip + part.size, bitorder="little")
+                np.multiply(bits[skip:].reshape(part.shape), 2.0, out=part)
+                part -= 1.0
             blocks = slice(lo // N, (lo + span) // N)
             inc = m1[band_rows, blocks, None] - xt.reshape(b, -1, N)
             inc *= R1
@@ -271,7 +290,7 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
             np.maximum(dy, 0.0, out=dy)
             dy *= dt
             np.sqrt(dy, out=dy)
-            dy *= normals
+            dy *= signs
             inc += dy
             for m, (f, K) in enumerate(zip(ctx.exch_f, ctx.K)):
                 ym = y[band_rows, m, lo:lo + span]

@@ -9,9 +9,13 @@ which order, or on how many workers.  The equilibrium sampler of ``renorm``
 and ``sample_interaction_chain`` draw all replicas from one stream per call
 or per level, so their first replicas change with the replica count.  No
 caller needs a counter or a jump, so the small-state SFC64 suffices, and it
-draws normals and Beta variates faster than counter-based Philox.  Draws are
-reproducible for a given hierfw and numpy version: numpy fixes the seeding
-of SFC64 and its Beta and normal algorithms.
+draws raw words and Beta variates faster than counter-based Philox.  The
+forward step reads its noise signs from the bit generator's raw 64-bit
+output (``random_raw``), which depends on no Generator sampling algorithm;
+Beta and uniform starts, the dual's waiting times and the renormalisation
+samplers still draw through the Generator.  Draws are reproducible for a
+given hierfw and numpy version: numpy fixes the seeding of SFC64 and its
+sampling algorithms.
 """
 
 from __future__ import annotations

@@ -375,6 +375,21 @@ def test_duality_two_colony_full():
     assert abs(rep.rhs - rep.exact_rhs) < 4 * rep.rhs_se
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n_lineages", [3, 4])
+def test_duality_third_and_fourth_moments(n_lineages):
+    # criterion 6's geometry with 3 and 4 lineages: the forward step's +-1
+    # signs match the normal's moments up to the third, so the 3-lineage
+    # duality function has the Gaussian scheme's mean at every step, and the
+    # 4-lineage one differs by O(dt) through E xi^4 = 1 instead of 3
+    mp = two_colony()
+    cfg = D.DualConfig.actives(mp, {0: n_lineages})
+    rep = D.duality_estimate(mp, z_state(), cfg, 0.5, 100_000,
+                             seed=600 + n_lineages, dt=0.002)
+    assert rep.passes()
+    assert abs(rep.rhs - rep.exact_rhs) < 4 * rep.rhs_se
+
+
 def test_next_state_pick_clamped_to_last_positive_column():
     # state 0 jumps at rates 0.1, 0.3, 0.2 to states 1, 3, 4, never to 2;
     # its jump probabilities sum to 1 - 2^-52, below u, the largest double

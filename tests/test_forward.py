@@ -127,14 +127,54 @@ def _reference_advance(x, y, n_steps, ctx, rng):
             drift += rate * (block_means(x, l) - x)
         dy = (x[:, None, :] - y) * ctx.exch_f[None, :, None]
         exch_x = -np.sum(ctx.K[None, :, None] * dy, axis=1)
-        noise = np.sqrt(np.maximum(ctx.g(x), 0.0) * ctx.dt) \
-            * rng.standard_normal(x.shape)
+        raw = rng.bit_generator.random_raw(-(-x.size // 64))
+        bits = np.unpackbits(raw.astype("<u8").view(np.uint8), count=x.size,
+                             bitorder="little").reshape(x.shape)
+        noise = np.sqrt(np.maximum(ctx.g(x), 0.0) * ctx.dt) * (2.0 * bits - 1.0)
         x += drift * ctx.dt + exch_x + noise
         y += dy
         clips += int(np.count_nonzero(x < 0.0) + np.count_nonzero(x > 1.0))
         np.clip(x, 0.0, 1.0, out=x)
         np.clip(y, 0.0, 1.0, out=y)
     return clips
+
+
+def _drift_free_step(N, levels, width, rngs, x0=0.375):
+    """x after one step from a state whose colonies and colours all equal
+    the dyadic x0, so that block means equal x0 exactly and migration and
+    exchange add exactly 0: the step moves x by its noise alone."""
+    M = levels + 1
+    mp = small_params(N=N, levels=levels, c=(1.0,) * M, e=(1.0,) * M,
+                      K=(1.0,) * M, g=fisher_wright(2.0))
+    ctx = F._StepContext(mp, F.default_dt(mp))
+    x = np.full((width, mp.n_colonies), x0)
+    y = np.full((width, M, mp.n_colonies), x0)
+    assert F._advance(x, y, 1, ctx, *rngs) == 0
+    assert np.all(y == x0)
+    return x, float(np.sqrt(max(ctx.g(np.array(x0)), 0.0) * ctx.dt))
+
+
+def test_advance_noise_is_a_sign_from_raw_bits():
+    # every colony moves by exactly +-sqrt(g(x) dt), and the sign of entry k
+    # of a generator's share is bit k of its raw words read little-endian
+    x, size = _drift_free_step(2, 2, 3, [stream(4, "signs")])
+    up, down = x == 0.375 + size, x == 0.375 - size
+    assert np.all(up | down)
+    raw = stream(4, "signs").bit_generator.random_raw(1)
+    bits = np.unpackbits(raw.astype("<u8").view(np.uint8), count=x.size,
+                         bitorder="little")
+    assert np.array_equal(up.ravel(), bits == 1)
+
+
+def test_advance_noise_signs_are_fair():
+    # 2^17 signs from two generators' shares: the share of + signs lies
+    # within 4.5 standard deviations of 1/2
+    x, size = _drift_free_step(2, 5, 2 * CHUNK,
+                               [stream(5, "fair", k) for k in range(2)])
+    assert x.size == 1 << 17
+    up = np.count_nonzero(x == 0.375 + size)
+    assert up + np.count_nonzero(x == 0.375 - size) == x.size
+    assert abs(up - x.size / 2) < 4.5 * math.sqrt(x.size) / 2
 
 
 @pytest.mark.parametrize("N,levels,width", [(2, 1, 3), (3, 2, 2), (8, 2, 1)])
@@ -161,7 +201,7 @@ def test_advance_matches_reference_kernel(N, levels, width):
 ])
 def test_advance_tiling_leaves_numbers_unchanged(monkeypatch, N, levels,
                                                  width, tile):
-    # each tile draws its own normals, so tile shapes must not move a draw:
+    # each tile unpacks its own signs, so tile shapes must not move a sign:
     # one row longer than a tile, and bands straddling two generators' rows
     M = levels + 1
     mp = small_params(N=N, levels=levels, c=(1.0,) * M, e=(1.0,) * M,
@@ -184,9 +224,9 @@ def test_advance_tiling_leaves_numbers_unchanged(monkeypatch, N, levels,
 
 
 def test_advance_memory_peak_is_a_fraction_of_the_state():
-    # the noise is drawn one tile at a time, so two steps hold the level
-    # means and one tile's temporaries (~0.36 x.nbytes), never a (W, C)
-    # normals array (1.0 x.nbytes)
+    # the noise signs are unpacked one tile at a time, so two steps hold the
+    # level means, the packed bits (x.nbytes / 64) and one tile's
+    # temporaries (~0.38 x.nbytes), never a (W, C) noise array (1.0 x.nbytes)
     mp = small_params(N=16, levels=4, c=(1.0,) * 5, e=(1.0,) * 5, K=(1.0,) * 5)
     ctx = F._StepContext(mp, F.default_dt(mp))
     x = np.full((1, mp.n_colonies), 0.5)
