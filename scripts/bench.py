@@ -10,13 +10,15 @@ medians: run_s, setup_s, peak_rss_mib) and once with ``--trace 1``
 (``python -m pytest -q`` with ``src`` on PYTHONPATH).  The result goes to
 BENCH_<n>.json at the root of this repository, n one above the highest
 existing file, together with run.py's environment record (library versions,
-CPU count, src line count and digest), the checkout's hierfw version and, per
-metric, the ratio to the same metric in BENCH_<n-1>.json.
+CPU count, src line count and digest) with the checkout's settable values
+added, the checkout's hierfw version and, per metric, the ratio to the same
+metric in BENCH_<n-1>.json.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -45,6 +47,22 @@ def _perfbench(checkout: Path, workload: str, seed: int, seconds: float,
     return {"env": env, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def _settable_values(checkout: Path) -> int:
+    """Optional function parameters plus dataclass fields with a default,
+    over the checkout's src/hierfw/*.py: each is a value a caller may set."""
+    count = 0
+    for path in sorted((checkout / "src/hierfw").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    return count
 
 
 def _tier1(checkout: Path) -> dict:
@@ -103,6 +121,7 @@ def main(argv=None) -> int:
         print(f"{name}: " + ", ".join(
             f"{k} {v:.4g}" for k, v in runs["trace0"]["metrics"].items()),
             flush=True)
+    env["settable_values"] = _settable_values(checkout)
     record = {
         "hierfw": version, "seed": args.seed, "seconds": args.seconds,
         "platform": platform.platform(), "env": env, "workloads": workloads,

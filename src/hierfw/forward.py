@@ -31,10 +31,10 @@ only the level-1 means read the colony array.  A step then visits the
 tile is a band of whole rows when a row is short, else a span of N^k d
 colonies of one row (d a divisor of N), so that every level block at least
 a span long is a whole number of tiles.  Each step draws the signs of all
-entries as packed raw generator bits (W C / 8 bytes), and each tile unpacks
-its own into a reused buffer just before it uses them and updates one
-dormant colour at a time, so neither a (W, C) noise array nor an (M, C)
-temporary is allocated.
+entries as one stream of packed raw generator bits (W C / 8 bytes), and
+each tile unpacks its own run of them into int8 signs just before it uses
+them and updates one dormant colour at a time, so neither a (W, C) noise
+array nor an (M, C) temporary is allocated.
 
 A trajectory record takes its block means from per-tile sums of x and y_m,
 which the step's tile pass adds up while a tile is in cache: levels at least
@@ -70,7 +70,7 @@ class SizeError(ValueError):
 
 # A step visits colonies in tiles of at most this many state entries per
 # array (rows of more than this many colonies are split into spans of whole
-# level blocks; see _tile_shape), so that a tile's x, y_m, noise signs and
+# level blocks; see _tile_shape), so that a tile's x, y_m, int8 signs and
 # increments stay in cache for the step, and so do the sums a record takes.
 _TILE = 1 << 15
 # ensemble_reduce stacks as many replica chunks as keep a group's (x, y)
@@ -92,7 +92,7 @@ class SystemState:
 
 
 def initial_arrays(params: ModelParams, init: InitSpec, rng,
-                   width: int = 1) -> tuple:
+                   width: int) -> tuple:
     """Draw ``width`` i.i.d. replicas of the initial configuration."""
     C = params.n_colonies
     M = params.levels + 1
@@ -233,14 +233,14 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
 
     x has shape (W, C) and y (W, M, C).  The rows are split evenly among
     ``rngs``: at every step generator i draws the noise signs of the i-th
-    share of rows, in row-major order, as ceil(rows C / 64) words of
-    ``random_raw``, read as little-endian bytes whose bit k (low bit first)
-    is the sign of the share's k-th entry, 1 for +1 and 0 for -1.  The
-    tiles are those of ``_tile_shape`` and visit x in row-major order; a
-    tile unpacks its signs just before it uses them, part by part from the
-    bits of each share it covers, into one reused buffer of at most
-    ``_TILE`` entries: the step holds W C / 8 bytes of packed bits and no
-    (W, C) noise array.
+    share of rows as ceil(rows C / 64) words of ``random_raw``.  The words
+    are joined in generator order into one stream of little-endian bytes
+    whose bit k (low bit first) is the sign of entry k of x in row-major
+    order, 1 for +1 and 0 for -1 (with several generators a share is CHUNK
+    rows, whole words, so no padding falls between shares).  The tiles of
+    ``_tile_shape`` visit x in row-major order, so each covers one run of
+    bits, which it unpacks as int8 signs just before it uses them: the step
+    holds W C / 8 bytes of packed bits and no (W, C) noise array.
 
     ``before`` and ``after``, when given, are (tiles, M + 1) arrays that
     receive each tile's sums of x and of each y_m: ``before`` of the state
@@ -250,10 +250,8 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
     W, C = x.shape
     N, dt, R1 = ctx.N, ctx.dt, ctx.drift_tails[0]
     coarse_levels = len(ctx.drift_tails) > 1     # else the coarse drift is 0
-    rows = W // len(rngs)
-    words = -(-rows * C // 64)          # 64 signs per raw word, per share
+    words = -(-(W // len(rngs)) * C // 64)  # 64 signs per raw word, per share
     band, span = _tile_shape(W, C, N)
-    noise = np.empty(band * span)
     tiles = [(top, lo) for top in range(0, W, band)
              for lo in range(0, C, span)]
     clips = 0
@@ -261,25 +259,22 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
         first = before if step == 0 else None
         last = after if step == n_steps - 1 else None
         m1, coarse = _drift_levels(x, N, ctx.drift_tails)
-        packed = [rng.bit_generator.random_raw(words)
-                  .astype("<u8", copy=False).view(np.uint8) for rng in rngs]
+        packed = np.concatenate([rng.bit_generator.random_raw(words)
+                                 for rng in rngs])
+        packed = packed.astype("<u8", copy=False).view(np.uint8)
         for t, (top, lo) in enumerate(tiles):
             band_rows = slice(top, top + band)
             xt = x[band_rows, lo:lo + span]
             b = xt.shape[0]
             if first is not None:
                 first[t, 0] = np.add.reduce(xt, axis=None)
-            signs = noise[:xt.size].reshape(xt.shape)
-            # the tile's rows of each generator's share, in order
-            for i in range(top // rows, (top + b - 1) // rows + 1):
-                first_row = max(top, i * rows)
-                part = signs[first_row - top:min(top + b, (i + 1) * rows) - top]
-                start = (first_row - i * rows) * C + lo
-                skip = start % 8
-                bits = np.unpackbits(packed[i][start // 8:],
-                                     count=skip + part.size, bitorder="little")
-                np.multiply(bits[skip:].reshape(part.shape), 2.0, out=part)
-                part -= 1.0
+            # the tile's signs are the contiguous bits from entry top C + lo
+            start = top * C + lo
+            skip = start % 8
+            signs = np.unpackbits(packed[start // 8:], count=skip + xt.size,
+                                  bitorder="little")[skip:].view(np.int8)
+            signs *= 2
+            signs -= 1
             blocks = slice(lo // N, (lo + span) // N)
             inc = m1[band_rows, blocks, None] - xt.reshape(b, -1, N)
             inc *= R1
@@ -290,7 +285,7 @@ def _advance(x: np.ndarray, y: np.ndarray, n_steps: int, ctx: _StepContext,
             np.maximum(dy, 0.0, out=dy)
             dy *= dt
             np.sqrt(dy, out=dy)
-            dy *= signs
+            dy *= signs.reshape(xt.shape)
             inc += dy
             for m, (f, K) in enumerate(zip(ctx.exch_f, ctx.K)):
                 ym = y[band_rows, m, lo:lo + span]
@@ -356,7 +351,6 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
     dt = ctx.dt
     rng = rngmod.stream(seed, "forward", 0)
     x, y = initial_arrays(params, init, rng, width=1)
-    K = np.asarray(params.K, dtype=float)
     steps_at = _record_steps(plan.times, dt)
     if any(s * dt > horizon * (1 + 1e-9) + dt for s in steps_at):
         raise ValueError("record times must lie in [0, horizon]")
@@ -398,7 +392,7 @@ def simulate(params: ModelParams, init: InitSpec, horizon: float,
             means = sums[:width // span].sum(axis=0) / width
             theta_x[i, l], theta_y[i, l] = means[0], means[1:]
     for l in range(L):
-        Kl = K[:l]
+        Kl = ctx.K[:l]
         weighted = theta_x[:, l] + np.sum(Kl * theta_y[:, l, :l], axis=-1)
         theta_bar[:, l] = weighted / (1.0 + Kl.sum())
     clip_fraction = clips / (max(done, 1) * C)

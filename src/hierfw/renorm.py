@@ -52,7 +52,7 @@ from .params import ClusteringCoefficients, DerivedParams, ModelParams
 class EquilibriumBudget:
     """Simulation effort for one equilibrium, in slow-relaxation-time units."""
 
-    n_replicas: int = 64
+    n_replicas: int
     burn: float = 20.0
     sample: float = 80.0
     dt_factor: float = 0.01

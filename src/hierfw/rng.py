@@ -24,9 +24,10 @@ import hashlib
 
 import numpy as np
 
-# Replicas are grouped in fixed-width chunks so that vectorised simulators can
-# draw (steps, CHUNK) noise blocks while replica identity stays stable when
-# the total replica count changes.
+# Replicas are grouped in fixed-width chunks, each drawing from its own
+# stream, so that replica identity stays stable when the total replica count
+# changes.  A multiple of 64, so a chunk's forward signs fill whole raw words
+# and the chunks' words join into one sign stream without padding.
 CHUNK = 1024
 
 

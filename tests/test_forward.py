@@ -155,15 +155,22 @@ def _drift_free_step(N, levels, width, rngs, x0=0.375):
 
 
 def test_advance_noise_is_a_sign_from_raw_bits():
-    # every colony moves by exactly +-sqrt(g(x) dt), and the sign of entry k
-    # of a generator's share is bit k of its raw words read little-endian
-    x, size = _drift_free_step(2, 2, 3, [stream(4, "signs")])
-    up, down = x == 0.375 + size, x == 0.375 - size
-    assert np.all(up | down)
-    raw = stream(4, "signs").bit_generator.random_raw(1)
-    bits = np.unpackbits(raw.astype("<u8").view(np.uint8), count=x.size,
-                         bitorder="little")
-    assert np.array_equal(up.ravel(), bits == 1)
+    # every colony moves by exactly +-sqrt(g(x) dt), and entry (r, c) moves
+    # up iff bit (r mod rows) C + c of generator r // rows's raw words, read
+    # little-endian, is 1: one generator's 3 rows, and two CHUNK-row shares
+    for width, generators in ((3, 1), (2 * CHUNK, 2)):
+        rngs = [stream(4, "signs", k) for k in range(generators)]
+        x, size = _drift_free_step(2, 2, width, rngs)
+        up, down = x == 0.375 + size, x == 0.375 - size
+        assert np.all(up | down)
+        rows, C = width // generators, x.shape[1]
+        for k in range(generators):
+            raw = stream(4, "signs", k).bit_generator.random_raw(
+                -(-rows * C // 64))
+            bits = np.unpackbits(raw.astype("<u8").view(np.uint8),
+                                 count=rows * C, bitorder="little")
+            share = up[k * rows:(k + 1) * rows]
+            assert np.array_equal(share, bits.reshape(rows, C) == 1)
 
 
 def test_advance_noise_signs_are_fair():
@@ -226,7 +233,7 @@ def test_advance_tiling_leaves_numbers_unchanged(monkeypatch, N, levels,
 def test_advance_memory_peak_is_a_fraction_of_the_state():
     # the noise signs are unpacked one tile at a time, so two steps hold the
     # level means, the packed bits (x.nbytes / 64) and one tile's
-    # temporaries (~0.38 x.nbytes), never a (W, C) noise array (1.0 x.nbytes)
+    # temporaries (~0.43 x.nbytes), never a (W, C) noise array (1.0 x.nbytes)
     mp = small_params(N=16, levels=4, c=(1.0,) * 5, e=(1.0,) * 5, K=(1.0,) * 5)
     ctx = F._StepContext(mp, F.default_dt(mp))
     x = np.full((1, mp.n_colonies), 0.5)

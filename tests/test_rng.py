@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hierfw.rng import stream
+from hierfw.rng import CHUNK, stream
 
 
 def test_bit_generator_is_sfc64():
@@ -32,3 +32,9 @@ def test_pinned_draws():
     expected = [0.7370618060446936, 0.7508663478531833,
                 0.3245222175381115, 0.4121296266387917]
     assert stream(0, "pin").random(4).tolist() == expected
+
+
+def test_chunk_is_whole_raw_words():
+    # the forward step joins its chunks' raw 64-bit words into one sign
+    # stream, so a chunk's signs must fill whole words for any colony count
+    assert CHUNK % 64 == 0
