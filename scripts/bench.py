@@ -11,8 +11,9 @@ medians: run_s, setup_s, peak_rss_mib) and once with ``--trace 1``
 BENCH_<n>.json at the root of this repository, n one above the highest
 existing file, together with run.py's environment record (library versions,
 CPU count, src line count and digest) with the checkout's settable values
-added, the checkout's hierfw version and, per metric, the ratio to the same
-metric in BENCH_<n-1>.json.
+and its src lines per module added, the checkout's hierfw version and, per
+metric, the ratio to the same metric in BENCH_<n-1>.json (so code moved
+between modules shows as one module's lines falling and another's rising).
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ def _settable_values(checkout: Path) -> int:
                 count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
                              for s in node.body)
     return count
+
+
+def _src_lines_by_module(checkout: Path) -> dict:
+    """Lines of each src/hierfw/*.py, keyed by module name; with a flat
+    package they add up to run.py's ``src_lines``."""
+    return {path.stem: len(path.read_text().splitlines())
+            for path in sorted((checkout / "src/hierfw").glob("*.py"))}
 
 
 def _tier1(checkout: Path) -> dict:
@@ -122,6 +130,7 @@ def main(argv=None) -> int:
             f"{k} {v:.4g}" for k, v in runs["trace0"]["metrics"].items()),
             flush=True)
     env["settable_values"] = _settable_values(checkout)
+    env["src_lines_by_module"] = _src_lines_by_module(checkout)
     record = {
         "hierfw": version, "seed": args.seed, "seconds": args.seconds,
         "platform": platform.platform(), "env": env, "workloads": workloads,

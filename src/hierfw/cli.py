@@ -401,12 +401,16 @@ def cmd_simulate_forward(job: Job) -> tuple:
 
 
 def _dual_config(job: Job) -> dual.DualConfig:
+    """Dual-block counts; two actives at colony 0 when no place is named."""
     counts = np.zeros((job.model.levels + 2, job.model.n_colonies), dtype=int)
+    if not job.lineages:
+        counts[0, 0] = 2
     for place, n in job.lineages.items():
         counts[place] = n
-    if counts.sum() == 0:
-        counts[0, 0] = 2
-    return dual.DualConfig(counts)
+    cfg = dual.DualConfig(counts)
+    if cfg.total == 0:
+        raise ConfigError("invalid dual block: every named count is 0")
+    return cfg
 
 
 def cmd_simulate_dual(job: Job) -> tuple:

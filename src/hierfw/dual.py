@@ -8,36 +8,41 @@ the same colony; m-dormant lineages wake at rate e_m N^-m.  Since the duality
 function only depends on occupation counts, the dual is simulated as a CTMC
 on count configurations, one (S, M + 1, C) array, rather than labelled
 partitions.  Its generator is built, one site at a time for all states, from
-the single-lineage generator ``forward.lineage_generator``: each of the n
-lineages on a site moves by its rates, and each active pair at a colony
-coalesces at rate d.
+the single-lineage generator ``lineage_generator``: each of the n lineages on
+a site moves by its rates, and each active pair at a colony coalesces at
+rate d.
 
 The moment duality  E_z[ H(z(t), l) ] = E_l[ H(z, L(t)) ]  with H(z, l) =
 prod_sites z^l, one ``duality_function`` for replicas and count states, is
 checked Monte Carlo against Monte Carlo. On small systems exp(Q t) H, the
 action of the exponential of the count-CTMC generator Q on the vector of H
-values by uniformisation (``forward._generator_exp``), cross-checks the dual
-side.  Both dual sides run on one count chain (Q, start state, H), built once
-per check.
+values by uniformisation (``_generator_exp``), cross-checks the dual side.
+Both dual sides run on one count chain (Q, start state, H), built once per
+check.  On the single-lineage generator the same sum gives the forward
+system's exact first moments (``first_moment_oracle``).  ``count_sites``
+caps every dense chain at 5000 states.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import rng as rngmod
-from .forward import (SizeError, SystemState, _generator_exp, _mean_se,
-                      ensemble_reduce, lineage_generator)
+from . import hiergeo, rng as rngmod
+from .forward import SystemState, _mean_se, ensemble_reduce
 from .params import ModelParams
 
 
 class DualityError(ValueError):
     """Duality requested outside the Fisher-Wright class."""
+
+
+class SizeError(ValueError):
+    """State space too large for exact generator computations."""
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +243,27 @@ def enumerate_count_states(params: ModelParams, n_max: int) -> np.ndarray:
         -1, params.levels + 2, params.n_colonies)
 
 
+def lineage_generator(params: ModelParams) -> np.ndarray:
+    """Generator of one dual lineage on the sites role * C + colony.
+
+    Role 0 is active; role m+1 is m-dormant.  Active lineages migrate with
+    the truncated kernel and fall asleep into colour m at rate K_m e_m N^-m;
+    m-dormant lineages wake at rate e_m N^-m.  SizeError, from
+    ``count_sites``, beyond 5000 sites.
+    """
+    C = params.n_colonies
+    n_sites = count_sites(params, 1)
+    Q = np.zeros((n_sites, n_sites))
+    Q[:C, :C] = hiergeo.migration_matrix(params.kernel_spec())
+    sleep, wake = params.sleep_rates(), params.exchange_rates()
+    active = np.arange(C)
+    for m in range(params.levels + 1):
+        Q[active, (m + 1) * C + active] = sleep[m]
+        Q[(m + 1) * C + active, active] = wake[m]
+    np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
+    return Q
+
+
 def dual_generator(params: ModelParams, states: np.ndarray) -> np.ndarray:
     """CTMC generator of the block-counting process on enumerated states.
 
@@ -277,6 +303,48 @@ def dual_generator(params: ModelParams, states: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _generator_exp(Q: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
+    """exp(Q t) v for a CTMC generator Q, by uniformisation.
+
+    With lam the largest exit rate, P = I + Q / lam is stochastic and
+    exp(Q t) v = sum_k e^(-u) u^k / k! P^k v with u = lam t.  Each power is
+    applied as P v = v + Q v / lam, so P itself is never formed.  Each Poisson
+    weight is taken from its logarithm, so none underflows before it is
+    negligible, and the sum stops at k = u + 10 sqrt(u) + 20, beyond which
+    the Poisson tail is below 1e-20.  For v >= 0 every term is non-negative,
+    so no cancellation occurs.
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    v = np.array(v, dtype=float)
+    lam = float(np.max(-Q.diagonal(), initial=0.0))
+    u = lam * t
+    if u == 0.0:
+        return v
+    out = np.zeros_like(v)
+    for k in range(math.floor(u + 10.0 * math.sqrt(u)) + 20):
+        if k:
+            v = v + (Q @ v) / lam
+        out += math.exp(k * math.log(u) - u - math.lgamma(k + 1)) * v
+    return out
+
+
+def first_moment_oracle(params: ModelParams, state: SystemState,
+                        t: float) -> SystemState:
+    """Exact per-site expectations E[z_(xi,R)(t)] by generator exponentiation.
+
+    The first moments of the system follow the linear flow of the single
+    dual lineage, so exp(Q t) z0, the action of the exponential on the
+    flattened state computed by ``_generator_exp``, is an exact oracle for
+    forward ensemble means.
+    """
+    C, M = params.n_colonies, params.levels + 1
+    Q = lineage_generator(params)
+    z0 = np.concatenate([state.x, state.y.reshape(M * C)])
+    zt = _generator_exp(Q, t, z0)
+    return SystemState(zt[:C], zt[C:].reshape(M, C))
+
+
 def duality_function(state: SystemState, counts: np.ndarray):
     """H(z, l) = prod_colonies x^{l_A} prod_m y_m^{l_{D_m}}  (0^0 = 1).
 
@@ -301,8 +369,8 @@ def _count_chain(params: ModelParams, z: SystemState,
 def exact_dual_moment(Q: np.ndarray, start: int, H: np.ndarray,
                       t: float) -> float:
     """E[H(z, L(t))] = (exp(Q t) H)[start] on the count chain (Q, start, H)
-    that the dual Monte Carlo also runs.  ``forward._generator_exp`` computes
-    the action on H; a negative t raises ValueError."""
+    that the dual Monte Carlo also runs.  ``_generator_exp`` computes the
+    action on H; a negative t raises ValueError."""
     return float(_generator_exp(Q, t, H)[start])
 
 
@@ -393,9 +461,7 @@ class DualityReport:
         return self.gap <= 3.0 * self.combined_se + 1e-12
 
     def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "lhs_se": self.lhs_se, "rhs": self.rhs,
-                "rhs_se": self.rhs_se, "exact_rhs": self.exact_rhs,
-                "t": self.t, "replicas": self.replicas, "gap": self.gap,
+        return {**asdict(self), "gap": self.gap,
                 "combined_se": self.combined_se, "pass_3se": self.passes()}
 
 

@@ -45,12 +45,12 @@ Replicas are vectorised in fixed-width chunks; replica r always draws from
 the stream keyed by (seed, labels, r // CHUNK) at row r % CHUNK.
 ``ensemble_reduce`` advances groups of chunks as one stacked array, each
 chunk's rows drawing from its own stream in row-major order, so neither
-grouping nor tiling changes any replica's numbers.
+grouping nor tiling changes any replica's numbers.  The exact oracles of
+the means are ``dual.first_moment_oracle`` and ``renorm.mckean_vlasov_mean``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -62,10 +62,6 @@ from .params import InitSpec, ModelParams
 
 class StabilityError(RuntimeError):
     """Step size exceeds the stability bound of the scheme."""
-
-
-class SizeError(ValueError):
-    """State space too large for exact generator computations."""
 
 
 # A step visits colonies in tiles of at most this many state entries per
@@ -339,8 +335,8 @@ class TrajectoryRecord:
     theta_y: np.ndarray               # (T, L, M)
     clip_fraction: float
     flagged: bool
-    snapshots_x: Optional[np.ndarray] = None   # (T, C)
-    snapshots_y: Optional[np.ndarray] = None   # (T, M, C)
+    snapshots_x: Optional[np.ndarray]   # (T, C), None without snapshots
+    snapshots_y: Optional[np.ndarray]   # (T, M, C), None without snapshots
 
 
 def simulate(params: ModelParams, init: InitSpec, horizon: float,
@@ -476,93 +472,3 @@ def ensemble_reduce(params: ModelParams, init, times: Sequence[float],
         total_steps += done * rows * C
     mean, se = _mean_se(np.array(sums), np.array(sumsq), n_replicas)
     return mean, se, clips / max(total_steps, 1)
-
-
-# ----------------------------------------------------------------------
-# Exact first moments via the single-lineage kernel
-# ----------------------------------------------------------------------
-
-
-def lineage_generator(params: ModelParams) -> np.ndarray:
-    """Generator of one dual lineage on states (colony, role).
-
-    Role 0 is active; role m+1 is m-dormant.  Active lineages migrate with
-    the truncated kernel and fall asleep into colour m at rate K_m e_m N^-m;
-    m-dormant lineages wake at rate e_m N^-m.  State index = role * C + colony.
-    """
-    C, M = params.n_colonies, params.levels + 1
-    n_states = C * (M + 1)
-    if n_states > 10_000:
-        raise SizeError(f"state space of size {n_states} exceeds 10^4")
-    Q = np.zeros((n_states, n_states))
-    Q[:C, :C] = hiergeo.migration_matrix(params.kernel_spec())
-    sleep, wake = params.sleep_rates(), params.exchange_rates()
-    active = np.arange(C)
-    for m in range(M):
-        Q[active, (m + 1) * C + active] = sleep[m]
-        Q[(m + 1) * C + active, active] = wake[m]
-    np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
-    return Q
-
-
-def _generator_exp(Q: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
-    """exp(Q t) v for a CTMC generator Q, by uniformisation.
-
-    With lam the largest exit rate, P = I + Q / lam is stochastic and
-    exp(Q t) v = sum_k e^(-u) u^k / k! P^k v with u = lam t.  Each power is
-    applied as P v = v + Q v / lam, so P itself is never formed.  Each Poisson
-    weight is taken from its logarithm, so none underflows before it is
-    negligible, and the sum stops at k = u + 10 sqrt(u) + 20, beyond which
-    the Poisson tail is below 1e-20.  For v >= 0 every term is non-negative,
-    so no cancellation occurs.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    v = np.array(v, dtype=float)
-    lam = float(np.max(-Q.diagonal(), initial=0.0))
-    u = lam * t
-    if u == 0.0:
-        return v
-    out = np.zeros_like(v)
-    for k in range(math.floor(u + 10.0 * math.sqrt(u)) + 20):
-        if k:
-            v = v + (Q @ v) / lam
-        out += math.exp(k * math.log(u) - u - math.lgamma(k + 1)) * v
-    return out
-
-
-def first_moment_oracle(params: ModelParams, state: SystemState,
-                        t: float) -> SystemState:
-    """Exact per-site expectations E[z_(xi,R)(t)] by generator exponentiation.
-
-    The first moments of the system follow the linear flow of the single
-    dual lineage, so exp(Q t) z0, the action of the exponential on the
-    flattened state computed by ``_generator_exp``, is an exact oracle for
-    forward ensemble means.
-    """
-    C, M = params.n_colonies, params.levels + 1
-    Q = lineage_generator(params)
-    z0 = np.concatenate([state.x, state.y.reshape(M * C)])
-    zt = _generator_exp(Q, t, z0)
-    return SystemState(zt[:C], zt[C:].reshape(M, C))
-
-
-# ----------------------------------------------------------------------
-# McKean-Vlasov single colony: closed-form means
-# ----------------------------------------------------------------------
-
-
-def mckean_vlasov_mean(K: float, e: float, theta_x: float, theta_y: float,
-                       t) -> tuple:
-    """Closed-form component means of the single-colony mean-field limit.
-
-    E[x(t)] = theta + K/(1+K) (theta_x - theta_y) exp(-(K+1) e t), and
-    E[y(t)] = theta -  1/(1+K) (theta_x - theta_y) exp(-(K+1) e t), with
-    theta = (theta_x + K theta_y) / (1 + K).  Independent of g.  The colony
-    is the renormalisation pair at E = 1 with drift centre E[x(t)], so this
-    is the transient oracle of ``renorm._PairIntegrator``.
-    """
-    t = np.asarray(t, dtype=float)
-    theta = (theta_x + K * theta_y) / (1.0 + K)
-    gap = (theta_x - theta_y) * np.exp(-(K + 1.0) * e * t)
-    return theta + K / (1.0 + K) * gap, theta - 1.0 / (1.0 + K) * gap

@@ -353,7 +353,7 @@ def _dichotomy_class(fam: Optional[Family], rho: float,
         const = 1.0 / (2.0 * (1.0 + rho))
         csum = np.concatenate([[0.0], np.cumsum(1.0 / c_seq)])
 
-        def asym(n, csum=csum, const=const):
+        def asym(n):
             return const * csum[int(n)]
 
         return AsymptoticClass("finite-rho", const, asym)

@@ -22,7 +22,8 @@ clustering regime keep their correct boundary behaviour.
 Sampled equilibrium moments are long-run time averages over independent
 replicas (with a split-half stationarity check); the interaction chain keeps
 each replica's state after its burn-in.  Stepped with theta = E[x(t)] at
-E = 1, the integrator runs the mean-field colony's transient.
+E = 1, the integrator runs the mean-field colony's transient, whose
+closed-form means ``mckean_vlasov_mean`` are its exact oracle.
 
 The map F itself is computed without sampling (``evaluate_F``, see
 ``hierfw.exact``): where r = E c / e >= 1/32 and EK is not near 0, by a
@@ -168,6 +169,22 @@ class _PairIntegrator:
             self._map(self.mid if step < n_steps - 1 else self.post, x, y)
         x += theta
         y += theta
+
+
+def mckean_vlasov_mean(K: float, e: float, theta_x: float, theta_y: float,
+                       t) -> tuple:
+    """Closed-form component means of the single-colony mean-field limit.
+
+    E[x(t)] = theta + K/(1+K) (theta_x - theta_y) exp(-(K+1) e t), and
+    E[y(t)] = theta -  1/(1+K) (theta_x - theta_y) exp(-(K+1) e t), with
+    theta = (theta_x + K theta_y) / (1 + K).  Independent of g.  The colony
+    is the pair at E = 1 with drift centre E[x(t)], so this is the transient
+    oracle of ``_PairIntegrator``.
+    """
+    t = np.asarray(t, dtype=float)
+    theta = (theta_x + K * theta_y) / (1.0 + K)
+    gap = (theta_x - theta_y) * np.exp(-(K + 1.0) * e * t)
+    return theta + K / (1.0 + K) * gap, theta - 1.0 / (1.0 + K) * gap
 
 
 def mv_equilibrium(E: float, c: float, K: float, e: float, g: DiffusionFn,

@@ -269,12 +269,12 @@ def test_criterion_07_mean_oracle():
         rng = stream(700, "mckean-vlasov")
         x, y = np.full(n, theta_x), np.full(n, theta_y)
         for s in range(max(steps)):
-            theta = forward.mckean_vlasov_mean(1.0, 1.0, theta_x, theta_y,
-                                               (s + 0.5) * integ.dt)[0]
+            theta = renorm.mckean_vlasov_mean(1.0, 1.0, theta_x, theta_y,
+                                              (s + 0.5) * integ.dt)[0]
             integ.advance(x, y, float(theta), 1, rng)
             if s + 1 in steps:
-                ex, ey = forward.mckean_vlasov_mean(1.0, 1.0, theta_x,
-                                                    theta_y, steps[s + 1])
+                ex, ey = renorm.mckean_vlasov_mean(1.0, 1.0, theta_x,
+                                                   theta_y, steps[s + 1])
                 for z, exact in ((x, ex), (y, ey)):
                     se = z.std() / math.sqrt(n)
                     ok &= abs(z.mean() - exact) < 3 * se + 5e-4

@@ -457,6 +457,13 @@ THETA_LIMIT_EDIT = (_HEAD, _HEAD.replace("levels: 0", "levels: 1")
     ("simulate-forward", ("law: deterministic",
                           "law: beta\n  concentration: -3.0"),
      "invalid init block: concentration must be positive, found -3.0"),
+    # a dual block that names places holding no lineage gets no default
+    ("simulate-dual", ("actives: {0: 2}", "actives: {1: 0}"),
+     "invalid dual block: every named count is 0"),
+    ("duality-check", ("actives: {0: 2}", "actives: {1: 0}"),
+     "invalid dual block: every named count is 0"),
+    ("simulate-dual", ("actives: {0: 2}", "dormants: {'0:1': 0}"),
+     "invalid dual block: every named count is 0"),
 ])
 def test_bad_run_values_exit_one(tmp_path, capsys, command, edit, message):
     cfg = write_cfg(tmp_path, TWO_COLONY_CFG.replace(*edit))

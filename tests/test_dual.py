@@ -43,8 +43,20 @@ def test_one_lineage_count_generator_is_lineage_generator(N, levels):
     mp = P.ModelParams(N=N, levels=levels, c=(1.0, 0.5)[:levels + 1],
                        e=(0.7, 0.3)[:levels + 1], K=(1.3, 2.0)[:levels + 1],
                        g=fisher_wright(2.0))
-    Q = D.dual_generator(mp, D.enumerate_count_states(mp, 1))
-    assert np.array_equal(Q, F.lineage_generator(mp))
+    states = D.enumerate_count_states(mp, 1)
+    Q = D.dual_generator(mp, states)
+    assert np.array_equal(Q, D.lineage_generator(mp))
+    # the first-moment oracle is the one-lineage chain's exact dual moment,
+    # started from each site in turn
+    rng = stream(N, levels, "one-lineage")
+    z = F.SystemState(rng.random(mp.n_colonies),
+                      rng.random((levels + 1, mp.n_colonies)))
+    H = D.duality_function(z, states)
+    for t in (0.0, 0.3, 1.7):
+        zt = D.first_moment_oracle(mp, z, t)
+        assert np.array_equal(
+            np.concatenate([zt.x, zt.y.ravel()]),
+            [D.exact_dual_moment(Q, s, H, t) for s in range(len(Q))])
 
 
 def test_two_actives_coalesce_at_rate_d():
@@ -170,7 +182,7 @@ def test_single_lineage_marginal_matches_semigroup():
     # empirical law of one lineage vs expm of the lineage generator, TV < 0.02
     mp = two_colony()
     cfg = D.DualConfig.actives(mp, {0: 1})
-    p_exact = expm(F.lineage_generator(mp) * 1.5)[0]
+    p_exact = expm(D.lineage_generator(mp) * 1.5)[0]
     rng = stream(5, "marginal")
     n = 100_000
     counts = np.zeros(4)
@@ -197,7 +209,7 @@ def test_gillespie_law_matches_count_chain(placement):
                          for _ in range(n)])
     hits = (terminal[:, None] == states).all(axis=(2, 3))
     assert np.all(hits.sum(axis=1) == 1)
-    p = np.array([F._generator_exp(Q, t, unit)[start]
+    p = np.array([D._generator_exp(Q, t, unit)[start]
                   for unit in np.identity(len(states))])
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.abs(hits.mean(axis=0) - p) <= 4.0 * np.sqrt(p * (1 - p) / n))
@@ -213,21 +225,21 @@ def test_generator_exp_matches_expm(t):
                          K=(1.3, 2.0), g=fisher_wright(2.0))
     count_chain, _, _ = D._count_chain(mp, z_state(),
                                        D.DualConfig.actives(mp, {0: 2}))
-    for Q in (F.lineage_generator(mp), F.lineage_generator(wide), count_chain):
+    for Q in (D.lineage_generator(mp), D.lineage_generator(wide), count_chain):
         n = len(Q)
-        E = np.column_stack([F._generator_exp(Q, t, unit)
+        E = np.column_stack([D._generator_exp(Q, t, unit)
                              for unit in np.identity(n)])
         assert np.abs(E - expm(Q * t)).max() <= 1e-13
         assert E.min() >= 0.0
-        assert np.abs(F._generator_exp(Q, t, np.ones(n)) - 1.0).max() <= 1e-12
+        assert np.abs(D._generator_exp(Q, t, np.ones(n)) - 1.0).max() <= 1e-12
         if t == 0.0:
             assert np.array_equal(E, np.identity(n))
 
 
 def test_generator_exp_refuses_negative_time():
-    Q = F.lineage_generator(two_colony())
+    Q = D.lineage_generator(two_colony())
     with pytest.raises(ValueError, match="non-negative"):
-        F._generator_exp(Q, -1.0, np.ones(len(Q)))
+        D._generator_exp(Q, -1.0, np.ones(len(Q)))
 
 
 def _large_chain_model():
@@ -247,7 +259,7 @@ def test_generator_exp_large_count_chain():
     assert len(Q) == 1224
     E = expm(Q)
     for v in (H, np.ones(len(Q))):
-        assert np.abs(F._generator_exp(Q, 1.0, v) - E @ v).max() <= 1e-12
+        assert np.abs(D._generator_exp(Q, 1.0, v) - E @ v).max() <= 1e-12
 
 
 def test_generator_exp_holds_no_copy_of_q():
@@ -257,11 +269,53 @@ def test_generator_exp_holds_no_copy_of_q():
     Q, _, H = D._count_chain(mp, z, D.DualConfig.actives(mp, {0: 2}))
     tracemalloc.start()
     try:
-        F._generator_exp(Q, 1.0, H)
+        D._generator_exp(Q, 1.0, H)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * Q.nbytes
+
+
+# ----------------------------------------------------------------------
+# first-moment oracle
+# ----------------------------------------------------------------------
+
+
+def small_params(N, levels, c, e, K):
+    return P.ModelParams(N=N, levels=levels, c=c, e=e, K=K,
+                         g=fisher_wright(1.0), init=P.InitSpec.constant(0.5))
+
+
+def test_oracle_constant_state_invariant():
+    mp = small_params(N=2, levels=1, c=(1.0, 0.5), e=(1.0, 1.0), K=(1.0, 2.0))
+    state = F.SystemState(np.full(4, 0.42), np.full((2, 4), 0.42))
+    out = D.first_moment_oracle(mp, state, 1.7)
+    assert np.allclose(out.x, 0.42, atol=1e-12)
+    assert np.allclose(out.y, 0.42, atol=1e-12)
+
+
+def test_oracle_time_zero_identity():
+    mp = two_colony()
+    rng = stream(5, "oracle0")
+    state = F.SystemState(rng.random(2), rng.random((1, 2)))
+    out = D.first_moment_oracle(mp, state, 0.0)
+    assert np.allclose(out.x, state.x, atol=1e-13)
+    assert np.allclose(out.y, state.y, atol=1e-13)
+
+
+def test_oracle_rows_stochastic():
+    mp = small_params(N=2, levels=1, c=(1.0, 0.5), e=(1.0, 1.0), K=(1.0, 2.0))
+    Q = D.lineage_generator(mp)
+    assert np.allclose(Q.sum(axis=1), 0.0, atol=1e-13)
+    off_diag = Q - np.diag(np.diag(Q))
+    assert np.all(off_diag >= 0)
+
+
+def test_oracle_size_guard():
+    mp = small_params(N=10, levels=3, c=(1.0,) * 4, e=(1.0,) * 4, K=(1.0,) * 4)
+    state = F.SystemState(np.zeros(10 ** 4), np.zeros((4, 10 ** 4)))
+    with pytest.raises(D.SizeError):
+        D.first_moment_oracle(mp, state, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +493,7 @@ def _reference_states(mp, n_max):
 
 def _reference_generator(params, states):
     d = params.g.d
-    q = F.lineage_generator(params)
+    q = D.lineage_generator(params)
     np.fill_diagonal(q, 0.0)
     targets = [np.flatnonzero(row) for row in q]
     C = params.n_colonies
@@ -624,7 +678,7 @@ def test_count_state_guard_builds_no_state():
     mp = _wide_model()
     tracemalloc.start()
     try:
-        with pytest.raises(F.SizeError):
+        with pytest.raises(D.SizeError):
             D.enumerate_count_states(mp, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -639,7 +693,7 @@ def test_duality_estimate_sizes_dual_before_forward(monkeypatch):
     monkeypatch.setattr(D, "ensemble_reduce", forward_ensemble)
     mp = _wide_model()
     z = F.SystemState(np.full(256, 0.5), np.full((4, 256), 0.5))
-    with pytest.raises(F.SizeError):
+    with pytest.raises(D.SizeError):
         D.duality_estimate(mp, z, D.DualConfig.actives(mp, {0: 2}), 1.0,
                            100, seed=0)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierfw import dual as D
 from hierfw import forward as F
 from hierfw import params as P
 from hierfw.diffusion import fisher_wright
@@ -523,41 +524,8 @@ def test_ensemble_records_survive_a_view_reducer():
 
 
 # ----------------------------------------------------------------------
-# first-moment oracle
+# ensemble means against the first-moment oracle
 # ----------------------------------------------------------------------
-
-
-def test_oracle_constant_state_invariant():
-    mp = small_params(N=2, levels=1, c=(1.0, 0.5), e=(1.0, 1.0), K=(1.0, 2.0))
-    state = F.SystemState(np.full(4, 0.42), np.full((2, 4), 0.42))
-    out = F.first_moment_oracle(mp, state, 1.7)
-    assert np.allclose(out.x, 0.42, atol=1e-12)
-    assert np.allclose(out.y, 0.42, atol=1e-12)
-
-
-def test_oracle_time_zero_identity():
-    mp = two_colony()
-    rng = stream(5, "oracle0")
-    state = F.SystemState(rng.random(2), rng.random((1, 2)))
-    out = F.first_moment_oracle(mp, state, 0.0)
-    assert np.allclose(out.x, state.x, atol=1e-13)
-    assert np.allclose(out.y, state.y, atol=1e-13)
-
-
-def test_oracle_rows_stochastic():
-    from hierfw.forward import lineage_generator
-    mp = small_params(N=2, levels=1, c=(1.0, 0.5), e=(1.0, 1.0), K=(1.0, 2.0))
-    Q = lineage_generator(mp)
-    assert np.allclose(Q.sum(axis=1), 0.0, atol=1e-13)
-    off_diag = Q - np.diag(np.diag(Q))
-    assert np.all(off_diag >= 0)
-
-
-def test_oracle_size_guard():
-    mp = small_params(N=10, levels=3, c=(1.0,) * 4, e=(1.0,) * 4, K=(1.0,) * 4)
-    state = F.SystemState(np.zeros(10 ** 4), np.zeros((4, 10 ** 4)))
-    with pytest.raises(F.SizeError):
-        F.first_moment_oracle(mp, state, 1.0)
 
 
 @pytest.mark.slow
@@ -565,7 +533,7 @@ def test_forward_means_match_oracle_two_colony():
     # x = (1, 0), y = (0, 0): ensemble means vs exact semigroup at t = 1
     mp = two_colony()
     state = F.SystemState(np.array([1.0, 0.0]), np.array([[0.0, 0.0]]))
-    exact = F.first_moment_oracle(mp, state, 1.0)
+    exact = D.first_moment_oracle(mp, state, 1.0)
 
     def obs(x, y):
         return np.concatenate([x, y[:, 0, :]], axis=1)
@@ -574,22 +542,6 @@ def test_forward_means_match_oracle_two_colony():
     target = np.concatenate([exact.x, exact.y[0]])
     for q in range(4):
         assert abs(mean[0, q] - target[q]) < 3 * se[0, q] + 2e-3
-
-
-# ----------------------------------------------------------------------
-# McKean-Vlasov
-# ----------------------------------------------------------------------
-
-
-def test_mckean_vlasov_mean_formula():
-    # t = 0 gives the initial means; t -> infinity gives theta
-    ex0, ey0 = F.mckean_vlasov_mean(2.0, 1.0, 0.9, 0.3, 0.0)
-    assert ex0 == pytest.approx(0.9)
-    assert ey0 == pytest.approx(0.3)
-    exi, eyi = F.mckean_vlasov_mean(2.0, 1.0, 0.9, 0.3, 1e9)
-    theta = (0.9 + 2.0 * 0.3) / 3.0
-    assert exi == pytest.approx(theta)
-    assert eyi == pytest.approx(theta)
 
 
 def test_heavy_clipping_flags_run():

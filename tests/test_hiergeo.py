@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hierfw import forward, hiergeo
+from hierfw import dual, hiergeo
 from hierfw.hiergeo import (
     AccuracyError,
     KernelExpansion,
@@ -375,7 +375,7 @@ def test_return_probability_matches_migration_generator(N, L, c):
     start[0] = 1.0
     for t in (0.1, 1.0, 10.0):
         expansion = np.exp(log_return_probability(np.log([t]), exp_)[0])
-        generator = forward._generator_exp(Q, t / q, start)[0] - float(N) ** -L
+        generator = dual._generator_exp(Q, t / q, start)[0] - float(N) ** -L
         assert expansion == pytest.approx(generator, rel=1e-12, abs=0.0)
     with pytest.raises(AccuracyError):
         log_return_probability(np.log([100.0]), exp_)

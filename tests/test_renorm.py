@@ -9,7 +9,6 @@ from hierfw import exact as X
 from hierfw import params as P
 from hierfw import renorm as R
 from hierfw.diffusion import DiffusionFn, fisher_wright, grid_from_callable
-from hierfw.forward import mckean_vlasov_mean
 
 FW = fisher_wright(1.0)
 QUARTIC = grid_from_callable(lambda x: (x * (1 - x)) ** 2)
@@ -99,6 +98,17 @@ def test_fused_map_matches_reference_steps(theta, shape, n_steps):
     assert np.max(np.abs(y - y_ref)) < 1e-13
 
 
+def test_mckean_vlasov_mean_formula():
+    # t = 0 gives the initial means; t -> infinity gives theta
+    ex0, ey0 = R.mckean_vlasov_mean(2.0, 1.0, 0.9, 0.3, 0.0)
+    assert ex0 == pytest.approx(0.9)
+    assert ey0 == pytest.approx(0.3)
+    exi, eyi = R.mckean_vlasov_mean(2.0, 1.0, 0.9, 0.3, 1e9)
+    theta = (0.9 + 2.0 * 0.3) / 3.0
+    assert exi == pytest.approx(theta)
+    assert eyi == pytest.approx(theta)
+
+
 @pytest.mark.parametrize("K,e,c", [(2.0, 1.0, 1.0), (0.5, 3.0, 0.25)])
 def test_noiseless_mean_field_drive_is_exact(K, e, c):
     # the mean-field colony without noise, stepped one at a time with theta
@@ -109,9 +119,9 @@ def test_noiseless_mean_field_drive_is_exact(K, e, c):
     rng = np.random.default_rng(0)
     x, y = np.array([0.9]), np.array([0.2])
     for s in range(200):
-        theta = mckean_vlasov_mean(K, e, 0.9, 0.2, (s + 0.5) * integ.dt)[0]
+        theta = R.mckean_vlasov_mean(K, e, 0.9, 0.2, (s + 0.5) * integ.dt)[0]
         integ.advance(x, y, float(theta), 1, rng)
-        ex, ey = mckean_vlasov_mean(K, e, 0.9, 0.2, (s + 1) * integ.dt)
+        ex, ey = R.mckean_vlasov_mean(K, e, 0.9, 0.2, (s + 1) * integ.dt)
         assert abs(x[0] - ex) < 1e-12
         assert abs(y[0] - ey) < 1e-12
 
